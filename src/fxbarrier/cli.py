@@ -8,10 +8,17 @@ import sys
 from pathlib import Path
 
 from .calibration import align_series, ols_fit
-from .domain import Question, QuoteDirection, Source, ThresholdKind, resolve
+from .domain import QuoteDirection, Source, ThresholdKind, resolve
 from .engine import SimulationParams, StepMode, rolling_forecast
 from .io import ingest_price_csv, parse_forecast_csv
-from .pipeline import emit_report, format_regression, load_config, run_pipeline
+from .pipeline import (
+    QuestionSpec,
+    emit_report,
+    format_regression,
+    format_series,
+    load_config,
+    run_pipeline,
+)
 from .scoring import score_series
 
 
@@ -50,26 +57,18 @@ def _build_question(args) -> tuple:
     series = ingest_price_csv(
         args.prices, args.pair_id, QuoteDirection(args.quote_direction)
     )
-    if args.history_start is not None:
-        series = series.window(start=args.history_start)
-    baseline = args.baseline
-    if baseline is None:
-        baseline = series.first_rate_on_or_after(args.open_date)
-        if baseline is None:
-            raise ValueError(
-                f"insufficient data: no observation on or after {args.open_date}"
-            )
-    question = Question(
+    spec = QuestionSpec(
         question_id=args.question_id,
         pair_id=series.pair_id,
         open_date=args.open_date,
         close_date=args.close_date,
-        baseline_rate=baseline,
         threshold_kind=ThresholdKind(args.threshold_kind),
         threshold_value=args.threshold_value,
+        baseline_rate=args.baseline,
         scoring_start_date=args.scoring_start,
+        history_start=args.history_start,
     )
-    return series, question
+    return spec.to_question(series)
 
 
 def _cmd_forecast(args) -> int:
@@ -78,9 +77,7 @@ def _cmd_forecast(args) -> int:
         seed=args.seed, n_paths=args.paths, step_mode=StepMode(args.step_mode)
     )
     forecast = rolling_forecast(series, question, params)
-    sys.stdout.write("date,p\n")
-    for d, p in forecast.points:
-        sys.stdout.write(f"{d.isoformat()},{p:.6f}\n")
+    sys.stdout.write(format_series("p", forecast.points))
     return 0
 
 
@@ -102,9 +99,7 @@ def _cmd_score(args) -> int:
     scores = score_series(
         type(forecast)(forecast.question_id, forecast.source, kept), resolution
     )
-    sys.stdout.write("date,score\n")
-    for d, s in scores.points:
-        sys.stdout.write(f"{d.isoformat()},{s:.6f}\n")
+    sys.stdout.write(format_series("score", scores.points))
     return 0
 
 

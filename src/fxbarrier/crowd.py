@@ -7,7 +7,6 @@ extremized mean-logit pool.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .domain import ForecastSeries, Question, Source
+from .io import _read_rows
 
 _LOGIT_EPS = 1e-6
 _CROWD_HEADER = ["question_id", "forecaster_id", "timestamp_rfc3339", "probability"]
@@ -184,27 +184,16 @@ def load_crowd_csv(path: str | Path) -> list[CrowdRecord]:
     """
     path = Path(path)
     records = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _CROWD_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(_CROWD_HEADER)!r}, got {header}"
+    for lineno, row in _read_rows(path, _CROWD_HEADER):
+        try:
+            record = CrowdRecord(
+                question_id=row[0].strip(),
+                forecaster_id=row[1].strip(),
+                at=_parse_rfc3339(row[2]),
+                p=float(row[3]),
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                record = CrowdRecord(
-                    question_id=row[0].strip(),
-                    forecaster_id=row[1].strip(),
-                    at=_parse_rfc3339(row[2]),
-                    p=float(row[3]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            records.append(record)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        records.append(record)
     records.sort(key=lambda r: r.at)
     return records

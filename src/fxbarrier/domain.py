@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -32,15 +33,21 @@ class ThresholdKind(str, Enum):
     ABSOLUTE_LEVEL = "absolute_level"
 
 
-def _check_points(points, label: str, low: float = 0.0, high: float = 1.0) -> tuple:
+# Value rules for _check_points: a predicate and the error text it raises.
+_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "value {value} at {date} outside [0.0, 1.0]")
+_RATE = (lambda v: 0.0 < v < math.inf, "non-positive or non-finite rate {value} at {date}")
+
+
+def _check_points(points, label: str, rule) -> tuple:
+    valid, message = rule
     out = []
     prev = None
     for date, value in points:
         value = float(value)
         if prev is not None and date <= prev:
             raise ValueError(f"{label}: dates must be strictly increasing (at {date})")
-        if not low <= value <= high:
-            raise ValueError(f"{label}: value {value} at {date} outside [{low}, {high}]")
+        if not valid(value):
+            raise ValueError(f"{label}: " + message.format(value=value, date=date))
         out.append((date, value))
         prev = date
     return tuple(out)
@@ -50,8 +57,8 @@ def _check_points(points, label: str, low: float = 0.0, high: float = 1.0) -> tu
 class PriceSeries:
     """Dated daily exchange-rate levels for one currency pair.
 
-    Dates are strictly increasing, every rate is positive, and calendar gaps
-    (weekends, holidays) are preserved exactly as observed.
+    Dates are strictly increasing, every rate is positive and finite, and
+    calendar gaps (weekends, holidays) are preserved exactly as observed.
     """
 
     pair_id: str
@@ -59,19 +66,9 @@ class PriceSeries:
     quote_direction: QuoteDirection = QuoteDirection.USD_PER_CCY
 
     def __post_init__(self) -> None:
-        cleaned = []
-        prev = None
-        for date, rate in self.points:
-            rate = float(rate)
-            if prev is not None and date <= prev:
-                raise ValueError(
-                    f"{self.pair_id}: dates must be strictly increasing (at {date})"
-                )
-            if rate <= 0:
-                raise ValueError(f"{self.pair_id}: non-positive rate {rate} at {date}")
-            cleaned.append((date, rate))
-            prev = date
-        object.__setattr__(self, "points", tuple(cleaned))
+        object.__setattr__(
+            self, "points", _check_points(self.points, self.pair_id, _RATE)
+        )
         object.__setattr__(
             self, "quote_direction", QuoteDirection(self.quote_direction)
         )
@@ -135,15 +132,19 @@ class Question:
                 f"{self.question_id}: open_date {self.open_date} must precede "
                 f"close_date {self.close_date}"
             )
-        if self.baseline_rate <= 0:
-            raise ValueError(f"{self.question_id}: baseline_rate must be positive")
+        if not 0.0 < self.baseline_rate < math.inf:
+            raise ValueError(
+                f"{self.question_id}: baseline_rate must be positive and finite"
+            )
         if self.threshold_kind is ThresholdKind.RELATIVE_DEPRECIATION:
             if not 0.0 < self.threshold_value < 1.0:
                 raise ValueError(
                     f"{self.question_id}: relative threshold must lie in (0, 1)"
                 )
-        elif self.threshold_value <= 0:
-            raise ValueError(f"{self.question_id}: absolute threshold must be positive")
+        elif not 0.0 < self.threshold_value < math.inf:
+            raise ValueError(
+                f"{self.question_id}: absolute threshold must be positive and finite"
+            )
         if self.scoring_start_date is not None and not (
             self.open_date <= self.scoring_start_date < self.close_date
         ):
@@ -172,8 +173,9 @@ class Resolution:
 
 @dataclass(frozen=True)
 class ForecastSeries:
-    """Dated probabilities from one forecasting method for one question.
+    """Dated values in [0, 1] from one source for one question.
 
+    Holds forecast probabilities and, as `ScoreSeries`, their Brier scores.
     Producers must not emit points dated after the question's resolve date.
     """
 
@@ -183,8 +185,9 @@ class ForecastSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "source", Source(self.source))
+        label = f"series {self.question_id}/{self.source.value}"
         object.__setattr__(
-            self, "points", _check_points(self.points, f"forecast {self.question_id}")
+            self, "points", _check_points(self.points, label, _PROBABILITY)
         )
 
     def __len__(self) -> int:
@@ -199,30 +202,8 @@ class ForecastSeries:
         return tuple(p for _, p in self.points)
 
 
-@dataclass(frozen=True)
-class ScoreSeries:
-    """Dated squared-error scores for one question and source."""
-
-    question_id: str
-    source: Source
-    points: tuple[tuple[dt.date, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", Source(self.source))
-        object.__setattr__(
-            self, "points", _check_points(self.points, f"scores {self.question_id}")
-        )
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(d for d, _ in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(s for _, s in self.points)
+# Scores are dated values in [0, 1] like forecasts; one type serves both.
+ScoreSeries = ForecastSeries
 
 
 def threshold_rate(question: Question) -> float:

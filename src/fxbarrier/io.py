@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from pathlib import Path
 
 from .domain import ForecastSeries, PriceSeries, QuoteDirection, Source
@@ -35,6 +36,25 @@ def _parse_date(text: str, path: Path, lineno: int) -> dt.date:
         raise ValueError(f"{path}:{lineno}: bad date {text!r}") from exc
 
 
+def _parse_probability(text: str, path: Path, lineno: int) -> float:
+    try:
+        p = float(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: bad probability {text!r}") from exc
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{path}:{lineno}: probability {p} outside [0, 1]")
+    return p
+
+
+def _sorted_by_date(rows: list[tuple[dt.date, float, int]], path: Path) -> tuple:
+    """Date-sorted `(date, value)` pairs; a repeated date fails with its line."""
+    rows.sort(key=lambda r: r[0])
+    for (d1, _, _), (d2, _, ln2) in zip(rows, rows[1:]):
+        if d1 == d2:
+            raise ValueError(f"{path}:{ln2}: duplicate date {d2}")
+    return tuple((d, v) for d, v, _ in rows)
+
+
 def ingest_price_csv(
     path: str | Path,
     pair_id: str | None = None,
@@ -43,7 +63,8 @@ def ingest_price_csv(
     """Read a `date,rate` CSV into a price series.
 
     Dates are ISO-8601 and may arrive unsorted; rows are sorted by date.
-    Non-positive rates and duplicate dates are rejected with line numbers.
+    Non-positive or non-finite rates and duplicate dates are rejected with
+    line numbers.
     """
     path = Path(path)
     pair = pair_id if pair_id is not None else path.stem
@@ -54,33 +75,25 @@ def ingest_price_csv(
             rate = float(row[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad rate {row[1]!r}") from exc
-        if rate <= 0:
-            raise ValueError(f"{path}:{lineno}: non-positive rate {rate}")
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"{path}:{lineno}: non-positive or non-finite rate {rate}")
         rows.append((date, rate, lineno))
-    rows.sort(key=lambda r: r[0])
-    for (d1, _, _), (d2, _, ln2) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise ValueError(f"{path}:{ln2}: duplicate date {d2}")
-    return PriceSeries(pair, tuple((d, r) for d, r, _ in rows), quote_direction)
+    return PriceSeries(pair, _sorted_by_date(rows, path), quote_direction)
 
 
 def parse_forecast_csv(
     path: str | Path, question_id: str, source: Source = Source.CROWD
 ) -> ForecastSeries:
-    """Read a `date,p` CSV (the emitted forecast format) into a series."""
+    """Read a `date,p` CSV (the emitted forecast format) into a series.
+
+    Rows may arrive unsorted; duplicate dates are rejected with line numbers.
+    """
     path = Path(path)
-    rows: list[tuple[dt.date, float]] = []
+    rows: list[tuple[dt.date, float, int]] = []
     for lineno, row in _read_rows(path, ["date", "p"]):
         date = _parse_date(row[0], path, lineno)
-        try:
-            p = float(row[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad probability {row[1]!r}") from exc
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{path}:{lineno}: probability {p} outside [0, 1]")
-        rows.append((date, p))
-    rows.sort(key=lambda r: r[0])
-    return ForecastSeries(question_id, source, tuple(rows))
+        rows.append((date, _parse_probability(row[1], path, lineno), lineno))
+    return ForecastSeries(question_id, source, _sorted_by_date(rows, path))
 
 
 def load_consensus_csv(path: str | Path) -> dict[str, ForecastSeries]:
@@ -95,12 +108,7 @@ def load_consensus_csv(path: str | Path) -> dict[str, ForecastSeries]:
     for lineno, row in _read_rows(path, ["question_id", "date", "probability"]):
         qid = row[0].strip()
         date = _parse_date(row[1], path, lineno)
-        try:
-            p = float(row[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad probability {row[2]!r}") from exc
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{path}:{lineno}: probability {p} outside [0, 1]")
+        p = _parse_probability(row[2], path, lineno)
         if (qid, date) in seen:
             raise ValueError(
                 f"{path}:{lineno}: duplicate entry for {qid} on {date} "

@@ -70,6 +70,29 @@ class QuestionSpec:
     history_start: dt.date | None = None
     non_floating: bool = False
 
+    def to_question(self, series: PriceSeries) -> tuple[PriceSeries, Question]:
+        """The question on `series`, and the series trimmed to history_start."""
+        if self.history_start is not None:
+            series = series.window(start=self.history_start)
+        baseline = self.baseline_rate
+        if baseline is None:
+            baseline = series.first_rate_on_or_after(self.open_date)
+            if baseline is None:
+                raise ValueError(
+                    f"insufficient data: no observation on or after {self.open_date}"
+                )
+        question = Question(
+            question_id=self.question_id,
+            pair_id=self.pair_id,
+            open_date=self.open_date,
+            close_date=self.close_date,
+            baseline_rate=baseline,
+            threshold_kind=self.threshold_kind,
+            threshold_value=self.threshold_value,
+            scoring_start_date=self.scoring_start_date,
+        )
+        return series, question
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -243,26 +266,7 @@ def _run_question(
     sim: SimulationParams,
     consensus: ConsensusParams,
 ) -> QuestionResult:
-    series = prices[spec.pair_id]
-    if spec.history_start is not None:
-        series = series.window(start=spec.history_start)
-    baseline = spec.baseline_rate
-    if baseline is None:
-        baseline = series.first_rate_on_or_after(spec.open_date)
-        if baseline is None:
-            raise ValueError(
-                f"insufficient data: no observation on or after {spec.open_date}"
-            )
-    question = Question(
-        question_id=spec.question_id,
-        pair_id=spec.pair_id,
-        open_date=spec.open_date,
-        close_date=spec.close_date,
-        baseline_rate=baseline,
-        threshold_kind=spec.threshold_kind,
-        threshold_value=spec.threshold_value,
-        scoring_start_date=spec.scoring_start_date,
-    )
+    series, question = spec.to_question(prices[spec.pair_id])
     resolution = resolve(series, question)
     result = QuestionResult(question=question, resolution=resolution)
 
@@ -334,11 +338,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
         except ValueError as exc:
             return spec.question_id, None, str(exc)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(job, specs))
-    else:
-        outcomes = [job(s) for s in specs]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        outcomes = list(pool.map(job, specs))
 
     results: dict[str, QuestionResult] = {}
     errors: dict[str, str] = {}
@@ -425,6 +426,12 @@ def format_regression(result: RegressionResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_series(column: str, points) -> str:
+    """A `date,<column>` CSV of dated values with fixed 6-decimal formatting."""
+    rows = "".join(f"{d.isoformat()},{v:.6f}\n" for d, v in points)
+    return f"date,{column}\n" + rows
+
+
 def _write_text(path: Path, text: str) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -449,14 +456,12 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
             fs = result.forecasts.get(source)
             if fs is not None and len(fs):
                 path = out / f"forecast_{qid}_{source.value}.csv"
-                rows = "".join(f"{d.isoformat()},{p:.6f}\n" for d, p in fs.points)
-                _write_text(path, "date,p\n" + rows)
+                _write_text(path, format_series("p", fs.points))
                 written.append(path)
             ss = result.scores.get(source)
             if ss is not None and len(ss):
                 path = out / f"scores_{qid}_{source.value}.csv"
-                rows = "".join(f"{d.isoformat()},{s:.6f}\n" for d, s in ss.points)
-                _write_text(path, "date,score\n" + rows)
+                _write_text(path, format_series("score", ss.points))
                 written.append(path)
 
     for name in (RW_CURVE, CROWD_CURVE, COMBINED_CURVE, CROWD_ONLY_CURVE):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import subprocess
 import sys
 
@@ -79,6 +80,32 @@ class TestForecast:
     def test_deterministic_output(self, price_csv):
         args = ("forecast", *question_args(price_csv), "--seed", "5", "--paths", "500")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    def test_history_start_and_derived_baseline_match_run(self, tmp_path):
+        config_path = build_config(tmp_path, n_paths=400, with_crowd=False, with_pegged=False)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        question = config["questions"][0]
+        assert "baseline_rate" not in question
+        prices = tmp_path / "prices" / "flt.csv"
+        question["history_start"] = ingest_price_csv(prices).dates[5].isoformat()
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(config_path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+
+        args = [
+            "forecast", "--prices", str(prices), "--pair-id", "FLTUSD",
+            "--question-id", "q-flt", "--open", question["open_date"],
+            "--close", question["close_date"],
+            "--threshold-value", str(question["threshold_value"]),
+            "--seed", str(config["seed"]), "--paths", "400",
+        ]
+        trimmed = run_cli(*args, "--history-start", question["history_start"])
+        assert trimmed.returncode == 0, trimmed.stderr
+        expected = (out / "forecast_q-flt_random_walk.csv").read_text(encoding="utf-8")
+        assert trimmed.stdout == expected
+        # the window is honoured: the full history gives other volatilities
+        assert run_cli(*args).stdout != expected
 
 
 class TestRun:

@@ -143,8 +143,9 @@ class TestResolve:
 
 class TestValidation:
     def test_price_series_rejects_nonpositive_rates(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            series_from([1.0, -0.5])
+        for bad in (-0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-positive"):
+                series_from([1.0, bad])
 
     def test_price_series_rejects_unsorted_dates(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -165,8 +166,14 @@ class TestValidation:
             make_question(threshold_value=0.0)
 
     def test_absolute_threshold_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            make_question(threshold_kind="absolute_level", threshold_value=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                make_question(threshold_kind="absolute_level", threshold_value=bad)
+
+    def test_baseline_rate_positive_and_finite(self):
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="baseline_rate must be positive and finite"):
+                make_question(baseline_rate=bad)
 
     def test_scoring_start_inside_window(self):
         q = make_question(scoring_start_date=D(2022, 7, 1))

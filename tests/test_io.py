@@ -36,9 +36,10 @@ class TestIngestPriceCsv:
 
     def test_zero_rate_reports_line(self, tmp_path):
         path = tmp_path / "eur.csv"
-        path.write_text("date,rate\n2022-01-03,1.05\n2022-01-04,0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="eur.csv:3"):
-            ingest_price_csv(path)
+        for bad in ("0", "nan", "inf", "-inf"):
+            path.write_text(f"date,rate\n2022-01-03,1.05\n2022-01-04,{bad}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="eur.csv:3: non-positive"):
+                ingest_price_csv(path)
 
     def test_unsorted_input_matches_presorted(self, tmp_path):
         series = random_walk_series(seed=6, n=30)
@@ -95,6 +96,14 @@ class TestParseForecastCsv:
         path = tmp_path / "f.csv"
         path.write_text("date,p\n2022-06-01,1.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="f.csv:2"):
+            parse_forecast_csv(path, "q")
+
+    def test_duplicate_date_reports_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(
+            "date,p\n2022-06-02,0.3\n2022-06-01,0.2\n2022-06-02,0.4\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="f.csv:4: duplicate date 2022-06-02"):
             parse_forecast_csv(path, "q")
 
 
