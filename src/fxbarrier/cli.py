@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .calibration import align_series, ols_fit
-from .domain import QuoteDirection, Source, ThresholdKind, resolve
+from .domain import QuoteDirection, Source, ThresholdKind, forecast_days, resolve
 from .engine import SimulationParams, StepMode, rolling_forecast
 from .io import ingest_price_csv, parse_forecast_csv
 from .pipeline import (
@@ -87,14 +87,13 @@ def _cmd_score(args) -> int:
     forecast = parse_forecast_csv(
         args.forecast, question.question_id, Source(args.source)
     )
-    kept = tuple(
-        (d, p) for d, p in forecast.points if d <= resolution.resolve_date
-    )
+    days = forecast_days(question, resolution)
+    kept = tuple(pt for pt in forecast.points if pt[0] in days)
     dropped = len(forecast) - len(kept)
     if dropped:
         sys.stderr.write(
-            f"warning: dropped {dropped} forecast points after resolution "
-            f"({resolution.resolve_date})\n"
+            f"warning: dropped {dropped} forecast points outside "
+            f"[{question.scoring_start}, {resolution.resolve_date})\n"
         )
     scores = score_series(
         type(forecast)(forecast.question_id, forecast.source, kept), resolution

@@ -59,10 +59,10 @@ class ConsensusParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "method", ConsensusMethod(self.method))
-        if self.extremize_a <= 0:
-            raise ValueError("extremize_a must be positive")
-        if self.recency_shape < 0:
-            raise ValueError("recency_shape must be nonnegative")
+        if not 0.0 < self.extremize_a < math.inf:
+            raise ValueError("extremize_a must be positive and finite")
+        if not 0.0 <= self.recency_shape < math.inf:
+            raise ValueError("recency_shape must be nonnegative and finite")
 
 
 class SnapshotEntry(NamedTuple):
@@ -125,8 +125,8 @@ def combine_logit(ps: Iterable[float], a: float) -> float:
     values = list(ps)
     if not values:
         raise ValueError("combine_logit needs at least one probability")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
     logits = []
     for p in values:
         if not 0.0 <= p <= 1.0:

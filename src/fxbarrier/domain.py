@@ -19,6 +19,15 @@ class QuoteDirection(str, Enum):
     USD_PER_CCY = "usd_per_ccy"
     CCY_PER_USD = "ccy_per_usd"
 
+    @property
+    def sign(self) -> float:
+        """+1.0 or -1.0 such that `sign * rate` falls as the currency depreciates.
+
+        Every question is then a fall to the barrier `sign * barrier_rate`;
+        multiplying by +-1.0 is exact, so no rate or barrier changes value.
+        """
+        return 1.0 if self is QuoteDirection.USD_PER_CCY else -1.0
+
 
 class Source(str, Enum):
     """Origin of a forecast or score series."""
@@ -33,13 +42,22 @@ class ThresholdKind(str, Enum):
     ABSOLUTE_LEVEL = "absolute_level"
 
 
-# Value rules for _check_points: a predicate and the error text it raises.
-_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "value {value} at {date} outside [0.0, 1.0]")
-_RATE = (lambda v: 0.0 < v < math.inf, "non-positive or non-finite rate {value} at {date}")
+# Value rules for dated series, here and in CSV ingest: the value's name, a
+# predicate, and the error text it raises.
+_PROBABILITY = (
+    "probability",
+    lambda v: 0.0 <= v <= 1.0,
+    "value {value} at {date} outside [0.0, 1.0]",
+)
+_RATE = (
+    "rate",
+    lambda v: 0.0 < v < math.inf,
+    "non-positive or non-finite rate {value} at {date}",
+)
 
 
 def _check_points(points, label: str, rule) -> tuple:
-    valid, message = rule
+    _, valid, message = rule
     out = []
     prev = None
     for date, value in points:
@@ -232,13 +250,6 @@ def barrier_rate(question: Question, direction: QuoteDirection) -> float:
     return question.threshold_value
 
 
-def crossing_hit(rate: float, barrier: float, direction: QuoteDirection) -> bool:
-    """Whether an observed rate touches or passes the depreciation barrier."""
-    if QuoteDirection(direction) is QuoteDirection.USD_PER_CCY:
-        return rate <= barrier
-    return rate >= barrier
-
-
 def resolve(series: PriceSeries, question: Question) -> Resolution:
     """Resolve a question against daily closes.
 
@@ -262,8 +273,23 @@ def resolve(series: PriceSeries, question: Question) -> Resolution:
             f"insufficient data: {series.pair_id} has no observations in "
             f"[{question.open_date}, {question.close_date}]"
         )
-    barrier = barrier_rate(question, series.quote_direction)
+    sign = series.quote_direction.sign
+    barrier = sign * barrier_rate(question, series.quote_direction)
     for d, r in in_window:
-        if d > question.open_date and crossing_hit(r, barrier, series.quote_direction):
+        if d > question.open_date and sign * r <= barrier:
             return Resolution(question.question_id, 1, d)
     return Resolution(question.question_id, 0, question.close_date)
+
+
+def forecast_days(question: Question, resolution: Resolution) -> frozenset[dt.date]:
+    """Calendar days in [scoring_start, resolve_date): the days a forecast is scored on.
+
+    Every forecast source, made here or read from a file, keeps only points
+    dated on these days, so all sources are compared on the same
+    question-days and none is scored once the outcome is known.
+    """
+    start = question.scoring_start
+    return frozenset(
+        start + dt.timedelta(days=i)
+        for i in range((resolution.resolve_date - start).days)
+    )

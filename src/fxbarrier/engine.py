@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,9 +20,9 @@ from .domain import (
     ForecastSeries,
     PriceSeries,
     Question,
-    QuoteDirection,
     Source,
     barrier_rate,
+    forecast_days,
     resolve,
 )
 
@@ -207,14 +206,13 @@ def rolling_forecast(
     from a fresh substream derived from (seed, question_id, d), so a forecast
     depends only on information available on that day.
     """
-    resolution = resolve(series, question)
-    barrier = barrier_rate(question, series.quote_direction)
-    mirrored = series.quote_direction is QuoteDirection.CCY_PER_USD
-    dates = series.dates
-    lo = bisect_right(dates, question.scoring_start - dt.timedelta(days=1))
-    hi = bisect_right(dates, resolution.resolve_date - dt.timedelta(days=1))
+    days = forecast_days(question, resolve(series, question))
+    sign = series.quote_direction.sign
+    barrier = sign * barrier_rate(question, series.quote_direction)
     points = []
-    for d, rate in series.points[lo:hi]:
+    for d, rate in series.points:
+        if d not in days:
+            continue
         vol = estimate_volatility(series, d)
         steps = remaining_steps(d, question.close_date, params.step_mode)
         day_params = SimulationParams(
@@ -222,9 +220,6 @@ def rolling_forecast(
             n_paths=params.n_paths,
             step_mode=params.step_mode,
         )
-        if mirrored:
-            p = simulate_barrier_probability(-rate, vol.sigma_h, -barrier, steps, day_params)
-        else:
-            p = simulate_barrier_probability(rate, vol.sigma_h, barrier, steps, day_params)
+        p = simulate_barrier_probability(sign * rate, vol.sigma_h, barrier, steps, day_params)
         points.append((d, p))
     return ForecastSeries(question.question_id, Source.RANDOM_WALK, tuple(points))

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 from pathlib import Path
 
-from .domain import ForecastSeries, PriceSeries, QuoteDirection, Source
+from .domain import _PROBABILITY, _RATE, ForecastSeries, PriceSeries, QuoteDirection, Source
 
 
 def _read_rows(path: Path, expected_header: list[str]):
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != expected_header:
@@ -36,23 +35,36 @@ def _parse_date(text: str, path: Path, lineno: int) -> dt.date:
         raise ValueError(f"{path}:{lineno}: bad date {text!r}") from exc
 
 
-def _parse_probability(text: str, path: Path, lineno: int) -> float:
-    try:
-        p = float(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad probability {text!r}") from exc
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{path}:{lineno}: probability {p} outside [0, 1]")
-    return p
+def _read_dated(path: Path, header: list[str], rule) -> dict[str, tuple]:
+    """`[key,] date, value` rows of a CSV as date-sorted points per key.
 
-
-def _sorted_by_date(rows: list[tuple[dt.date, float, int]], path: Path) -> tuple:
-    """Date-sorted `(date, value)` pairs; a repeated date fails with its line."""
-    rows.sort(key=lambda r: r[0])
-    for (d1, _, _), (d2, _, ln2) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise ValueError(f"{path}:{ln2}: duplicate date {d2}")
-    return tuple((d, v) for d, v, _ in rows)
+    The key is the first column of a three-column `header`; two-column rows
+    all share the key "". Each value must satisfy the domain `rule`
+    (`_RATE` or `_PROBABILITY`). Rows may arrive in any order; a bad value or
+    a date repeated under one key fails with its path and line.
+    """
+    name, valid, message = rule
+    grouped: dict[str, list[tuple[dt.date, float, int]]] = {}
+    for lineno, row in _read_rows(path, header):
+        *key, date_text, value_text = row
+        date = _parse_date(date_text, path, lineno)
+        try:
+            value = float(value_text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad {name} {value_text!r}") from exc
+        if not valid(value):
+            raise ValueError(f"{path}:{lineno}: " + message.format(value=value, date=date))
+        grouped.setdefault("".join(key).strip(), []).append((date, value, lineno))
+    out = {}
+    for key, rows in grouped.items():
+        rows.sort(key=lambda r: r[0])
+        for (d1, _, ln1), (d2, _, ln2) in zip(rows, rows[1:]):
+            if d1 == d2:
+                raise ValueError(
+                    f"{path}:{ln2}: duplicate date {d2} (duplicate entry of line {ln1})"
+                )
+        out[key] = tuple((d, v) for d, v, _ in rows)
+    return out
 
 
 def ingest_price_csv(
@@ -68,17 +80,8 @@ def ingest_price_csv(
     """
     path = Path(path)
     pair = pair_id if pair_id is not None else path.stem
-    rows: list[tuple[dt.date, float, int]] = []
-    for lineno, row in _read_rows(path, ["date", "rate"]):
-        date = _parse_date(row[0], path, lineno)
-        try:
-            rate = float(row[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad rate {row[1]!r}") from exc
-        if not 0.0 < rate < math.inf:
-            raise ValueError(f"{path}:{lineno}: non-positive or non-finite rate {rate}")
-        rows.append((date, rate, lineno))
-    return PriceSeries(pair, _sorted_by_date(rows, path), quote_direction)
+    points = _read_dated(path, ["date", "rate"], _RATE).get("", ())
+    return PriceSeries(pair, points, quote_direction)
 
 
 def parse_forecast_csv(
@@ -89,11 +92,8 @@ def parse_forecast_csv(
     Rows may arrive unsorted; duplicate dates are rejected with line numbers.
     """
     path = Path(path)
-    rows: list[tuple[dt.date, float, int]] = []
-    for lineno, row in _read_rows(path, ["date", "p"]):
-        date = _parse_date(row[0], path, lineno)
-        rows.append((date, _parse_probability(row[1], path, lineno), lineno))
-    return ForecastSeries(question_id, source, _sorted_by_date(rows, path))
+    points = _read_dated(path, ["date", "p"], _PROBABILITY).get("", ())
+    return ForecastSeries(question_id, source, points)
 
 
 def load_consensus_csv(path: str | Path) -> dict[str, ForecastSeries]:
@@ -102,21 +102,5 @@ def load_consensus_csv(path: str | Path) -> dict[str, ForecastSeries]:
     Expected header: question_id,date,probability. The series are scored
     through the same path as internally aggregated crowd forecasts.
     """
-    path = Path(path)
-    grouped: dict[str, list[tuple[dt.date, float]]] = {}
-    seen: dict[tuple[str, dt.date], int] = {}
-    for lineno, row in _read_rows(path, ["question_id", "date", "probability"]):
-        qid = row[0].strip()
-        date = _parse_date(row[1], path, lineno)
-        p = _parse_probability(row[2], path, lineno)
-        if (qid, date) in seen:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate entry for {qid} on {date} "
-                f"(first at line {seen[(qid, date)]})"
-            )
-        seen[(qid, date)] = lineno
-        grouped.setdefault(qid, []).append((date, p))
-    return {
-        qid: ForecastSeries(qid, Source.CROWD, tuple(sorted(points)))
-        for qid, points in grouped.items()
-    }
+    grouped = _read_dated(Path(path), ["question_id", "date", "probability"], _PROBABILITY)
+    return {qid: ForecastSeries(qid, Source.CROWD, points) for qid, points in grouped.items()}

@@ -12,7 +12,7 @@ import datetime as dt
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .calibration import RegressionResult, align_series, ols_fit
@@ -26,6 +26,7 @@ from .domain import (
     ScoreSeries,
     Source,
     ThresholdKind,
+    forecast_days,
     resolve,
 )
 from .engine import SimulationParams, StepMode, rolling_forecast
@@ -73,6 +74,11 @@ class QuestionSpec:
     def to_question(self, series: PriceSeries) -> tuple[PriceSeries, Question]:
         """The question on `series`, and the series trimmed to history_start."""
         if self.history_start is not None:
+            if self.history_start > self.open_date:
+                raise ValueError(
+                    f"{self.question_id}: history_start {self.history_start} is "
+                    f"after open_date {self.open_date}"
+                )
             series = series.window(start=self.history_start)
         baseline = self.baseline_rate
         if baseline is None:
@@ -129,12 +135,18 @@ class RunConfig:
                 )
 
 
+_OVERRIDES = {"seed", "n_paths", "step_mode", "output_dir", "workers"}
+_QUESTION_KEYS = {f.name for f in fields(QuestionSpec)}
+
+
 def _get(entry: dict, key: str, kind, where: str, required: bool = False):
     value = entry.get(key)
     if value is None:
         if required:
             raise ValueError(f"{where}: missing required field {key!r}")
         return None
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"{where}: {key!r} must be true or false, got {value!r}")
     try:
         if kind is dt.date:
             return dt.date.fromisoformat(value)
@@ -146,10 +158,13 @@ def _get(entry: dict, key: str, kind, where: str, required: bool = False):
 def load_config(path: str | Path, **overrides) -> RunConfig:
     """Parse a JSON run configuration.
 
-    Recognised overrides: seed, n_paths, step_mode, output_dir, workers.
-    The seed must be explicit, in the file or as an override; Monte Carlo runs
-    are never entropy-seeded.
+    Recognised overrides: seed, n_paths, step_mode, output_dir, workers;
+    any other name is a TypeError. The seed must be explicit, in the file or
+    as an override; Monte Carlo runs are never entropy-seeded.
     """
+    unknown = sorted(set(overrides) - _OVERRIDES)
+    if unknown:
+        raise TypeError(f"load_config() got unknown overrides {unknown}")
     path = Path(path)
     base = path.parent
     with path.open(encoding="utf-8") as fh:
@@ -186,6 +201,9 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     questions = []
     for i, entry in enumerate(raw.get("questions", [])):
         where = f"{path}: questions[{i}]"
+        unknown = sorted(set(entry) - _QUESTION_KEYS)
+        if unknown:
+            raise ValueError(f"{where}: unknown fields {unknown}")
         questions.append(
             QuestionSpec(
                 question_id=_get(entry, "question_id", str, where, required=True),
@@ -199,7 +217,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
                 baseline_rate=_get(entry, "baseline_rate", float, where),
                 scoring_start_date=_get(entry, "scoring_start_date", dt.date, where),
                 history_start=_get(entry, "history_start", dt.date, where),
-                non_floating=bool(entry.get("non_floating", False)),
+                non_floating=_get(entry, "non_floating", bool, where) or False,
             )
         )
 
@@ -237,15 +255,6 @@ class RunReport:
     warnings: list[str]
 
 
-def _daily_range(start: dt.date, stop: dt.date) -> list[dt.date]:
-    return [start + dt.timedelta(days=i) for i in range((stop - start).days)]
-
-
-def _clip_series(series: ForecastSeries, start: dt.date, stop: dt.date) -> ForecastSeries:
-    points = tuple((d, p) for d, p in series.points if start <= d < stop)
-    return ForecastSeries(series.question_id, series.source, points)
-
-
 def _combined_series(
     rw: ForecastSeries, crowd: ForecastSeries, extremize_a: float
 ) -> ForecastSeries:
@@ -277,13 +286,13 @@ def _run_question(
             result.scores[Source.RANDOM_WALK] = score_series(rw, resolution)
 
     crowd_fs: ForecastSeries | None = None
+    days = forecast_days(question, resolution)
     if spec.question_id in external:
-        crowd_fs = _clip_series(
-            external[spec.question_id], question.scoring_start, resolution.resolve_date
-        )
+        ext = external[spec.question_id]
+        points = tuple(pt for pt in ext.points if pt[0] in days)
+        crowd_fs = ForecastSeries(ext.question_id, ext.source, points)
     elif crowd_records:
-        sample_dates = _daily_range(question.scoring_start, resolution.resolve_date)
-        crowd_fs = crowd_series(crowd_records, question, sample_dates, consensus)
+        crowd_fs = crowd_series(crowd_records, question, days, consensus)
     if crowd_fs is not None and len(crowd_fs):
         result.forecasts[Source.CROWD] = crowd_fs
         result.scores[Source.CROWD] = score_series(crowd_fs, resolution)
@@ -352,37 +361,21 @@ def run_pipeline(config: RunConfig) -> RunReport:
         details = "; ".join(f"{qid}: {msg}" for qid, msg in sorted(errors.items()))
         raise ValueError(f"all questions failed: {details}")
 
-    rw_scores = {
-        qid: r.scores[Source.RANDOM_WALK]
-        for qid, r in results.items()
-        if Source.RANDOM_WALK in r.scores
-    }
-    crowd_scores = {
-        qid: r.scores[Source.CROWD]
-        for qid, r in results.items()
-        if Source.CROWD in r.scores
-    }
-    shared = sorted(set(rw_scores) & set(crowd_scores))
-    crowd_only = sorted(set(crowd_scores) - set(rw_scores))
+    def scores(source: Source, qids) -> list[ScoreSeries]:
+        return [results[q].scores[source] for q in sorted(qids) if source in results[q].scores]
 
-    mean_curves: dict[str, MeanScoreCurve] = {}
-    if rw_scores:
-        mean_curves[RW_CURVE] = mean_score_curve(
-            [rw_scores[q] for q in sorted(rw_scores)]
-        )
-    if shared:
-        mean_curves[CROWD_CURVE] = mean_score_curve([crowd_scores[q] for q in shared])
-        combined = [
-            results[q].scores[Source.COMBINED]
-            for q in shared
-            if Source.COMBINED in results[q].scores
-        ]
-        if combined:
-            mean_curves[COMBINED_CURVE] = mean_score_curve(combined)
-    if crowd_only:
-        mean_curves[CROWD_ONLY_CURVE] = mean_score_curve(
-            [crowd_scores[q] for q in crowd_only]
-        )
+    with_rw = {q for q, r in results.items() if Source.RANDOM_WALK in r.scores}
+    with_crowd = {q for q, r in results.items() if Source.CROWD in r.scores}
+    shared = sorted(with_rw & with_crowd)
+    curve_scores = {
+        RW_CURVE: scores(Source.RANDOM_WALK, with_rw),
+        CROWD_CURVE: scores(Source.CROWD, shared),
+        COMBINED_CURVE: scores(Source.COMBINED, shared),
+        CROWD_ONLY_CURVE: scores(Source.CROWD, with_crowd - with_rw),
+    }
+    mean_curves = {
+        name: mean_score_curve(series) for name, series in curve_scores.items() if series
+    }
 
     regression: RegressionResult | None = None
     if shared:

@@ -161,6 +161,54 @@ class TestScore:
             # brier(0.5, k) is 0.25 for either outcome
             assert line.endswith(",0.250000")
 
+    def test_scores_the_same_window_as_run(self, tmp_path):
+        config_path = build_config(tmp_path, n_paths=400, with_crowd=False, with_pegged=False)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        question = config["questions"][0]
+        prices = tmp_path / "prices" / "flt.csv"
+        series = ingest_price_csv(prices, "FLTUSD")
+        question["scoring_start_date"] = series.dates[20].isoformat()
+        q = Question(
+            question_id="q-flt",
+            pair_id="FLTUSD",
+            open_date=series.dates[15],
+            close_date=series.dates[-1],
+            baseline_rate=series.rates[15],
+            threshold_kind="relative_depreciation",
+            threshold_value=question["threshold_value"],
+        )
+        resolve_date = resolve(series, q).resolve_date
+        # before open, after open but before scoring start, inside, on resolution
+        dates = [series.dates[10], series.dates[17], *series.dates[20:24], resolve_date]
+        assert resolve_date > series.dates[23]
+        probs = [0.1 + 0.1 * i for i in range(len(dates))]
+        forecast = tmp_path / "forecast.csv"
+        forecast.write_text(
+            "date,p\n" + "".join(f"{d},{p}\n" for d, p in zip(dates, probs)), encoding="utf-8"
+        )
+        consensus = tmp_path / "consensus.csv"
+        consensus.write_text(
+            "question_id,date,probability\n"
+            + "".join(f"q-flt,{d},{p}\n" for d, p in zip(dates, probs)),
+            encoding="utf-8",
+        )
+        config["external_consensus_file"] = consensus.name
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(config_path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+
+        proc = run_cli(
+            "score", "--prices", str(prices), "--pair-id", "FLTUSD",
+            "--open", question["open_date"], "--close", question["close_date"],
+            "--threshold-value", str(question["threshold_value"]),
+            "--scoring-start", question["scoring_start_date"], "--forecast", str(forecast),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dropped 3" in proc.stderr
+        assert proc.stdout == (out / "scores_q-flt_crowd.csv").read_text(encoding="utf-8")
+        assert len(proc.stdout.splitlines()) == 1 + 4
+
     def test_points_after_resolution_are_dropped_with_warning(self, price_csv, tmp_path):
         forecast_path = tmp_path / "late.csv"
         series = ingest_price_csv(price_csv, "FLTUSD")

@@ -313,7 +313,11 @@ class TestLoadCrowdCsv:
             load_crowd_csv(path)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError, match="extremize_a"):
-            ConsensusParams(extremize_a=0.0)
-        with pytest.raises(ValueError, match="recency_shape"):
-            ConsensusParams(recency_shape=-0.1)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="extremize_a"):
+                ConsensusParams(extremize_a=bad)
+            with pytest.raises(ValueError, match="a must be positive"):
+                combine_logit([0.2, 0.3], bad)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="recency_shape"):
+                ConsensusParams(recency_shape=bad)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxbarrier import (
     QuoteDirection,
@@ -12,6 +16,8 @@ from fxbarrier import (
     load_consensus_csv,
     parse_forecast_csv,
 )
+from fxbarrier.domain import _PROBABILITY, _RATE
+from fxbarrier.io import _read_dated
 
 from conftest import random_walk_series, write_price_csv
 
@@ -129,3 +135,74 @@ class TestLoadConsensusCsv:
         )
         with pytest.raises(ValueError, match="duplicate entry"):
             load_consensus_csv(path)
+
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "consensus.csv"
+        path.write_bytes(b"\xef\xbb\xbfquestion_id,date,probability\r\na,2022-06-01,0.2\r\n")
+        assert load_consensus_csv(path)["a"].points == ((D(2022, 6, 1), 0.2),)
+
+
+# Values on both sides of both rules: 0.0 and 2.0 are a bad rate and a good
+# probability or the reverse; the non-finite ones break both rules.
+_VALUES = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0),
+    st.sampled_from([0.0, 2.0, -1.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.dates(D(2022, 1, 1), D(2022, 1, 10)),
+            _VALUES,
+        ),
+        max_size=12,
+    ),
+    keyed=st.booleans(),
+    bom=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n"]),
+)
+def test_read_dated_matches_row_by_row_oracle(tmp_path_factory, rows, keyed, bom, eol):
+    """Unsorted rows, CRLF, a BOM, duplicate dates and non-finite values.
+
+    Two-column files are read with the rate rule and keyed ones with the
+    probability rule, as ingest_price_csv and load_consensus_csv do.
+    """
+    path = tmp_path_factory.mktemp("dated") / "x.csv"
+    if keyed:
+        header, rule = ["question_id", "date", "probability"], _PROBABILITY
+        lines = [f"{k},{d.isoformat()},{v!r}" for k, d, v in rows]
+
+        def valid(v):
+            return 0.0 <= v <= 1.0
+    else:
+        header, rule = ["date", "rate"], _RATE
+        lines = [f"{d.isoformat()},{v!r}" for _, d, v in rows]
+        rows = [("", d, v) for _, d, v in rows]
+
+        def valid(v):
+            return math.isfinite(v) and v > 0.0
+    text = ("\ufeff" if bom else "") + eol.join([",".join(header)] + lines) + eol
+    path.write_bytes(text.encode("utf-8"))
+    where = re.escape(str(path))
+
+    bad = [i + 2 for i, (_, _, v) in enumerate(rows) if not valid(v)]
+    if bad:
+        with pytest.raises(ValueError, match=rf"^{where}:{bad[0]}: "):
+            _read_dated(path, header, rule)
+        return
+    lines_of: dict[str, dict[dt.date, list[int]]] = {}
+    for i, (k, d, _) in enumerate(rows):
+        lines_of.setdefault(k, {}).setdefault(d, []).append(i + 2)
+    for by_date in lines_of.values():
+        dups = [(d, ls[1]) for d, ls in sorted(by_date.items()) if len(ls) > 1]
+        if dups:
+            d, line = dups[0]
+            with pytest.raises(ValueError, match=rf"^{where}:{line}: duplicate date {d}"):
+                _read_dated(path, header, rule)
+            return
+    expected = {k: tuple(sorted((d, v) for kk, d, v in rows if kk == k)) for k in lines_of}
+    assert _read_dated(path, header, rule) == expected

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from fxbarrier import (
+    QuestionSpec,
     Source,
+    ThresholdKind,
     brier,
     emit_report,
     load_config,
@@ -17,7 +19,7 @@ from fxbarrier import (
     run_pipeline,
 )
 
-from conftest import build_config
+from conftest import build_config, random_walk_series
 
 
 def run_to_dir(config_path: Path, out: Path, **overrides) -> dict[str, bytes]:
@@ -66,6 +68,44 @@ class TestConfig:
         assert config.sim.n_paths == 123
         assert config.sim.step_mode.value == "calendar_days"
         assert config.workers == 3
+
+    def test_unknown_override_is_an_error(self, tmp_path):
+        path = build_config(tmp_path)
+        with pytest.raises(TypeError, match="n_path"):
+            load_config(path, n_path=5)
+
+    def test_non_floating_must_be_a_boolean(self, tmp_path):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["questions"][0]["non_floating"] = "false"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=r"questions\[0\]: 'non_floating' must be true"):
+            load_config(path)
+
+    def test_unknown_question_field_is_an_error(self, tmp_path):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["questions"][0]["baseline"] = 1.0
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=r"config.json: questions\[0\]: .*'baseline'"):
+            load_config(path)
+
+    def test_history_start_after_open_is_an_error(self):
+        series = random_walk_series("FLTUSD", seed=11, n=90)
+        spec = QuestionSpec(
+            question_id="q",
+            pair_id="FLTUSD",
+            open_date=series.dates[15],
+            close_date=series.dates[-1],
+            threshold_kind=ThresholdKind.RELATIVE_DEPRECIATION,
+            threshold_value=0.05,
+            history_start=series.dates[40],
+        )
+        # Trimming first would derive the baseline from the rate on
+        # history_start, not from the first rate on or after open_date.
+        assert series.rates[40] != series.rates[15]
+        with pytest.raises(ValueError, match="q: history_start .* after open_date"):
+            spec.to_question(series)
 
 
 class TestRunPipeline:
