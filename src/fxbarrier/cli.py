@@ -112,18 +112,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.paths is not None:
-        overrides["n_paths"] = args.paths
-    if args.step_mode is not None:
-        overrides["step_mode"] = args.step_mode
-    if args.out is not None:
-        overrides["output_dir"] = Path(args.out).resolve()
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    config = load_config(args.config, **overrides)
+    config = load_config(
+        args.config,
+        seed=args.seed,
+        n_paths=args.paths,
+        step_mode=args.step_mode,
+        output_dir=None if args.out is None else Path(args.out).resolve(),
+        workers=args.workers,
+    )
     report = run_pipeline(config)
     for line in report.warnings:
         sys.stderr.write(f"warning: {line}\n")

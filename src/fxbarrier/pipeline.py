@@ -11,8 +11,11 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
+import reprlib
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .calibration import RegressionResult, align_series, ols_fit
@@ -29,7 +32,7 @@ from .domain import (
     forecast_days,
     resolve,
 )
-from .engine import SimulationParams, StepMode, rolling_forecast
+from .engine import SimulationParams, rolling_forecast
 from .io import ingest_price_csv, load_consensus_csv
 from .scoring import MeanScoreCurve, mean_score_curve, score_series
 
@@ -136,104 +139,95 @@ class RunConfig:
 
 
 _OVERRIDES = {"seed", "n_paths", "step_mode", "output_dir", "workers"}
-_QUESTION_KEYS = {f.name for f in fields(QuestionSpec)}
+
+# The JSON type each field type is read from, and its name for errors; any
+# other field type (str, an enum, a date, a path) is read from a string.
+_JSON = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    tuple: (list, "a list"),
+}
 
 
-def _get(entry: dict, key: str, kind, where: str, required: bool = False):
-    value = entry.get(key)
-    if value is None:
-        if required:
-            raise ValueError(f"{where}: missing required field {key!r}")
-        return None
-    if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{where}: {key!r} must be true or false, got {value!r}")
+def _read(hint, value, where: str, key: str, base: Path):
+    """The JSON `value` of field `key` of the entry at `where`, as a `hint`."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = typing.get_args(hint)[0]  # `X | None`; a null never gets here
+    if is_dataclass(hint):
+        return _build(hint, value, f"{where}: {key}", base)
+    origin = typing.get_origin(hint) or hint
+    kinds, name = _JSON.get(origin, ((str, Path), "a string"))
+    # bool is an int subclass: only a bool field takes true or false
+    if not isinstance(value, kinds) or isinstance(value, bool) != (hint is bool):
+        raise ValueError(f"{where}: {key!r} must be {name}, got {reprlib.repr(value)}")
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(_read(item, v, where, f"{key}[{i}]", base) for i, v in enumerate(value))
     try:
-        if kind is dt.date:
+        if hint is dt.date:
             return dt.date.fromisoformat(value)
-        return kind(value)
+        if hint is Path:
+            return (base / value).resolve()
+        return hint(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from exc
+
+
+def _build(cls, entry, where: str, base: Path, **given):
+    """The dataclass `cls` read from the JSON object `entry` at `where`.
+
+    Keys are field names, other than the fields `given` already built. An
+    absent or null key takes the field's default; paths resolve against `base`.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object, got {reprlib.repr(entry)}")
+    hints = typing.get_type_hints(cls)
+    todo = [f for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(entry) - {f.name for f in todo})
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {unknown}")
+    for f in todo:
+        if entry.get(f.name) is not None:
+            given[f.name] = _read(hints[f.name], entry[f.name], where, f.name, base)
+        elif f.default is MISSING:
+            raise ValueError(f"{where}: missing required field {f.name!r}")
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str | Path, **overrides) -> RunConfig:
     """Parse a JSON run configuration.
 
-    Recognised overrides: seed, n_paths, step_mode, output_dir, workers;
-    any other name is a TypeError. The seed must be explicit, in the file or
-    as an override; Monte Carlo runs are never entropy-seeded.
+    The top-level keys are the fields of RunConfig (other than sim) and of
+    SimulationParams. Recognised overrides: seed, n_paths, step_mode,
+    output_dir, workers; an override of None counts as absent, and any other
+    name is a TypeError. The seed must be explicit, in the file or as an override;
+    Monte Carlo runs are never entropy-seeded.
     """
     unknown = sorted(set(overrides) - _OVERRIDES)
     if unknown:
         raise TypeError(f"load_config() got unknown overrides {unknown}")
     path = Path(path)
-    base = path.parent
     with path.open(encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-
-    seed = overrides.get("seed", raw.get("seed"))
-    if seed is None:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected an object, got {reprlib.repr(raw)}")
+    raw.update((k, v) for k, v in overrides.items() if v is not None)
+    if raw.get("seed") is None:
         raise ValueError(f"{path}: an explicit seed is required")
-    sim = SimulationParams(
-        seed=int(seed),
-        n_paths=int(overrides.get("n_paths", raw.get("n_paths", 10_000))),
-        step_mode=StepMode(
-            overrides.get("step_mode", raw.get("step_mode", StepMode.TRADING_DAYS))
-        ),
-    )
-    cons_raw = raw.get("consensus", {})
-    consensus = ConsensusParams(
-        method=cons_raw.get("method", "weighted_median"),
-        extremize_a=float(cons_raw.get("extremize_a", 2.0)),
-        recency_shape=float(cons_raw.get("recency_shape", 1.0)),
-    )
-
-    price_files = []
-    for i, entry in enumerate(raw.get("price_files", [])):
-        where = f"{path}: price_files[{i}]"
-        pair = _get(entry, "pair_id", str, where, required=True)
-        rel = _get(entry, "path", str, where, required=True)
-        direction = QuoteDirection(entry.get("quote_direction", "usd_per_ccy"))
-        price_files.append(PriceFileSpec(pair, (base / rel).resolve(), direction))
-
-    questions = []
-    for i, entry in enumerate(raw.get("questions", [])):
-        where = f"{path}: questions[{i}]"
-        unknown = sorted(set(entry) - _QUESTION_KEYS)
-        if unknown:
-            raise ValueError(f"{where}: unknown fields {unknown}")
-        questions.append(
-            QuestionSpec(
-                question_id=_get(entry, "question_id", str, where, required=True),
-                pair_id=_get(entry, "pair_id", str, where, required=True),
-                open_date=_get(entry, "open_date", dt.date, where, required=True),
-                close_date=_get(entry, "close_date", dt.date, where, required=True),
-                threshold_kind=ThresholdKind(
-                    _get(entry, "threshold_kind", str, where, required=True)
-                ),
-                threshold_value=_get(entry, "threshold_value", float, where, required=True),
-                baseline_rate=_get(entry, "baseline_rate", float, where),
-                scoring_start_date=_get(entry, "scoring_start_date", dt.date, where),
-                history_start=_get(entry, "history_start", dt.date, where),
-                non_floating=_get(entry, "non_floating", bool, where) or False,
-            )
-        )
-
-    crowd_file = raw.get("crowd_file")
-    external = raw.get("external_consensus_file")
-    out_dir = overrides.get("output_dir", raw.get("output_dir", "out"))
-    return RunConfig(
-        price_files=tuple(price_files),
-        questions=tuple(questions),
-        sim=sim,
-        consensus=consensus,
-        crowd_file=(base / crowd_file).resolve() if crowd_file else None,
-        external_consensus_file=(base / external).resolve() if external else None,
-        output_dir=Path(out_dir) if Path(out_dir).is_absolute() else (base / out_dir),
-        workers=int(overrides.get("workers", raw.get("workers", 1))),
-    )
+    if raw.get("output_dir") is None:  # beside the config, not the working directory
+        raw["output_dir"] = RunConfig.output_dir
+    sim_keys = {f.name for f in fields(SimulationParams)}
+    sim = {k: v for k, v in raw.items() if k in sim_keys}
+    rest = {k: v for k, v in raw.items() if k not in sim_keys}
+    where, base = str(path), path.parent
+    return _build(RunConfig, rest, where, base, sim=_build(SimulationParams, sim, where, base))
 
 
 @dataclass
@@ -334,6 +328,13 @@ def run_pipeline(config: RunConfig) -> RunReport:
             warnings.append(
                 f"consensus file {config.external_consensus_file} contains no series"
             )
+    configured = {q.question_id for q in config.questions}
+    for name, file, qids in (
+        ("crowd", config.crowd_file, {r.question_id for r in crowd_records}),
+        ("consensus", config.external_consensus_file, set(external)),
+    ):
+        if stray := sorted(qids - configured):
+            warnings.append(f"{name} file {file}: no configured question for ids {stray}")
 
     specs = sorted(config.questions, key=lambda q: q.question_id)
 

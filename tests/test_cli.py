@@ -123,6 +123,16 @@ class TestRun:
         proc = run_cli("run", "--config", str(tmp_path / "absent.json"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text())
+        for key, value, message in [
+            ("consensus", "x", "config.json: consensus: expected an object, got 'x'"),
+            ("seed", 7.9, "config.json: 'seed' must be an integer, got 7.9"),
+        ]:
+            path.write_text(json.dumps(dict(raw, **{key: value})))
+            proc = run_cli("run", "--config", str(path))
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:") and message in proc.stderr
 
     def test_seed_override_changes_output(self, tmp_path):
         config = build_config(tmp_path, n_paths=400)

@@ -76,19 +76,83 @@ class TestConfig:
 
     def test_non_floating_must_be_a_boolean(self, tmp_path):
         path = build_config(tmp_path)
+        text = path.read_text()
         raw = json.loads(path.read_text())
         raw["questions"][0]["non_floating"] = "false"
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=r"questions\[0\]: 'non_floating' must be true"):
             load_config(path)
+        # Integers are not truncated from floats, and an object is not a string.
+        for edit, message in [
+            (lambda raw: raw.update(seed=7.9), r"config.json: 'seed' must be an integer"),
+            (lambda raw: raw.update(n_paths=7.9), r"config.json: 'n_paths' must be an integer"),
+            (lambda raw: raw.update(workers=1.5), r"config.json: 'workers' must be an integer"),
+            (lambda raw: raw.update(workers=True), r"config.json: 'workers' must be an integer"),
+            (lambda raw: raw.update(consensus="x"), r"config.json: consensus: expected an object"),
+            (
+                lambda raw: raw.update(questions=["q-flt"]),
+                r"config.json: questions\[0\]: expected an object",
+            ),
+            (lambda raw: raw.update(questions="q-flt"), r"'questions' must be a list"),
+        ]:
+            raw = json.loads(text)
+            edit(raw)
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match=message):
+                load_config(path)
 
     def test_unknown_question_field_is_an_error(self, tmp_path):
         path = build_config(tmp_path)
+        text = path.read_text()
         raw = json.loads(path.read_text())
         raw["questions"][0]["baseline"] = 1.0
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=r"config.json: questions\[0\]: .*'baseline'"):
             load_config(path)
+        for edit, message in [
+            (lambda raw: raw.update(n_path=5), r"config.json: unknown fields \['n_path'\]"),
+            (lambda raw: raw.update(sim={"seed": 1}), r"config.json: unknown fields \['sim'\]"),
+            (
+                lambda raw: raw["consensus"].update(extremise_a=9.0),
+                r"config.json: consensus: unknown fields \['extremise_a'\]",
+            ),
+            (
+                lambda raw: raw["price_files"][0].update(file="x.csv"),
+                r"config.json: price_files\[0\]: unknown fields \['file'\]",
+            ),
+        ]:
+            raw = json.loads(text)
+            edit(raw)
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match=message):
+                load_config(path)
+
+    def test_bad_enum_value_names_its_entry(self, tmp_path):
+        path = build_config(tmp_path)
+        text = path.read_text()
+        for edit, message in [
+            (
+                lambda raw: raw["questions"][1].update(threshold_kind="relative"),
+                r"config.json: questions\[1\]: bad value for 'threshold_kind': 'relative'",
+            ),
+            (
+                lambda raw: raw["price_files"][1].update(quote_direction="usd"),
+                r"config.json: price_files\[1\]: bad value for 'quote_direction': 'usd'",
+            ),
+            (
+                lambda raw: raw.update(step_mode="weekdays"),
+                r"config.json: bad value for 'step_mode': 'weekdays'",
+            ),
+            (
+                lambda raw: raw["consensus"].update(method="mean"),
+                r"config.json: consensus: bad value for 'method': 'mean'",
+            ),
+        ]:
+            raw = json.loads(text)
+            edit(raw)
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match=message):
+                load_config(path)
 
     def test_history_start_after_open_is_an_error(self):
         series = random_walk_series("FLTUSD", seed=11, n=90)
@@ -269,6 +333,25 @@ class TestRunPipeline:
         assert set(crowd.values) == {0.42}
         # q-peg has no external series and falls back to record aggregation
         assert Source.CROWD in report2.results["q-peg"].forecasts
+
+    def test_unconfigured_question_ids_warn(self, tmp_path):
+        path = build_config(tmp_path)
+        crowd = tmp_path / "crowd.csv"
+        # a mistyped id drops that question's crowd forecasts
+        crowd.write_text(crowd.read_text().replace("q-flt,", "q-fIt,"), encoding="utf-8")
+        (tmp_path / "consensus.csv").write_text(
+            "question_id,date,probability\nq-zzz,2022-02-01,0.4\n", encoding="utf-8"
+        )
+        raw = json.loads(path.read_text())
+        raw["external_consensus_file"] = "consensus.csv"
+        path.write_text(json.dumps(raw))
+        report = run_pipeline(load_config(path))
+        assert Source.CROWD not in report.results["q-flt"].forecasts
+        assert report.warnings == [
+            f"crowd file {crowd}: no configured question for ids ['q-fIt']",
+            f"consensus file {tmp_path / 'consensus.csv'}: no configured question for ids "
+            "['q-zzz']",
+        ]
 
     def test_resolutions_file_lists_all_questions(self, tmp_path):
         path = build_config(tmp_path)
