@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .domain import ForecastSeries, Question, Source
 from .io import _read_rows
@@ -71,6 +71,32 @@ class SnapshotEntry(NamedTuple):
     age_rank: int
 
 
+def _snapshots(
+    records: Iterable[CrowdRecord], cutoffs: Iterable[dt.datetime]
+) -> Iterator[list[SnapshotEntry]]:
+    """The latest-per-forecaster snapshot at each of the ascending `cutoffs`.
+
+    One stable sort of the records by time, then one cursor across them:
+    each record is visited once in all, and each cutoff costs a sort of its
+    snapshot by (time, forecaster id). Because the sort is stable, a
+    forecaster's same-instant duplicates are visited in input order and the
+    later one wins.
+    """
+    ordered = sorted(records, key=lambda r: r.at)
+    latest: dict[str, tuple[dt.datetime, float]] = {}
+    i = 0
+    for cutoff in cutoffs:
+        while i < len(ordered) and ordered[i].at <= cutoff:
+            rec = ordered[i]
+            latest[rec.forecaster_id] = (rec.at, rec.p)
+            i += 1
+        ranked = sorted(latest.items(), key=lambda kv: (kv[1][0], kv[0]))
+        yield [
+            SnapshotEntry(fid, p, rank)
+            for rank, (fid, (_, p)) in enumerate(ranked, start=1)
+        ]
+
+
 def latest_per_forecaster(
     records: Iterable[CrowdRecord], at: dt.datetime
 ) -> list[SnapshotEntry]:
@@ -79,20 +105,11 @@ def latest_per_forecaster(
     age_rank runs 1..N from the oldest to the newest latest-submission time,
     so higher ranks are fresher opinions. Ties on time break by forecaster id;
     a forecaster's same-instant duplicates keep the later record in input
-    order. Forecasters with no submission yet are absent.
+    order. Forecasters with no submission yet are absent. This is the
+    single-cutoff case of the sweep `crowd_series` runs: O(R log R) for R
+    records.
     """
-    latest: dict[str, tuple[dt.datetime, int, float]] = {}
-    for order, rec in enumerate(records):
-        if rec.at > at:
-            continue
-        key = (rec.at, order, rec.p)
-        if rec.forecaster_id not in latest or key[:2] >= latest[rec.forecaster_id][:2]:
-            latest[rec.forecaster_id] = key
-    ordered = sorted(latest.items(), key=lambda kv: (kv[1][0], kv[0]))
-    return [
-        SnapshotEntry(fid, p, rank)
-        for rank, (fid, (_, _, p)) in enumerate(ordered, start=1)
-    ]
+    return next(_snapshots(records, [at]))
 
 
 def community_prediction(
@@ -149,13 +166,19 @@ def crowd_series(
 ) -> ForecastSeries:
     """Consensus evaluated at each sample date's end of day.
 
+    Each day's snapshot is `latest_per_forecaster` at that end of day, with
+    its tie rules, but all days come from one sweep: records of other
+    questions are dropped, the question's R records are sorted by time once
+    and walked once across the D sorted dates, so the cost is
+    O(R log R + D * N log N) for at most N forecasters, not O(R * D).
+
     Dates with no submissions yet are omitted. Callers must pass dates within
     [scoring_start, resolve_date) so the series honours its resolution bound.
     """
     relevant = [r for r in records if r.question_id == question.question_id]
+    days = sorted(set(sample_dates))
     points = []
-    for d in sorted(set(sample_dates)):
-        snapshot = latest_per_forecaster(relevant, _end_of_day(d))
+    for d, snapshot in zip(days, _snapshots(relevant, map(_end_of_day, days))):
         if not snapshot:
             continue
         if params.method is ConsensusMethod.WEIGHTED_MEDIAN:

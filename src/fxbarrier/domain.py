@@ -7,6 +7,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 
 class QuoteDirection(str, Enum):
@@ -77,6 +80,9 @@ class PriceSeries:
 
     Dates are strictly increasing, every rate is positive and finite, and
     calendar gaps (weekends, holidays) are preserved exactly as observed.
+    `dates` and `rate_diffs` are computed on first use and kept on the
+    instance; they are not fields, so equality, hashing and repr see only
+    the points.
     """
 
     pair_id: str
@@ -94,7 +100,7 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def dates(self) -> tuple[dt.date, ...]:
         return tuple(d for d, _ in self.points)
 
@@ -102,24 +108,28 @@ class PriceSeries:
     def rates(self) -> tuple[float, ...]:
         return tuple(r for _, r in self.points)
 
+    @cached_property
+    def rate_diffs(self) -> np.ndarray:
+        """Read-only float64 first differences: rate_diffs[i] = rate[i+1] - rate[i]."""
+        diffs = np.diff(np.asarray(self.rates, dtype=np.float64))
+        diffs.flags.writeable = False
+        return diffs
+
     def rate_on(self, date: dt.date) -> float:
         """Rate observed exactly on `date`, or KeyError if not a trading day."""
-        dates = self.dates
-        i = bisect_left(dates, date)
-        if i == len(dates) or dates[i] != date:
+        i = bisect_left(self.dates, date)
+        if i == len(self.points) or self.dates[i] != date:
             raise KeyError(f"{self.pair_id}: no observation on {date}")
         return self.points[i][1]
 
     def first_rate_on_or_after(self, date: dt.date) -> float | None:
-        dates = self.dates
-        i = bisect_left(dates, date)
-        return self.points[i][1] if i < len(dates) else None
+        i = bisect_left(self.dates, date)
+        return self.points[i][1] if i < len(self.points) else None
 
     def window(self, start: dt.date | None = None, end: dt.date | None = None) -> PriceSeries:
         """Sub-series with dates in [start, end] (either bound optional)."""
-        dates = self.dates
-        lo = 0 if start is None else bisect_left(dates, start)
-        hi = len(dates) if end is None else bisect_right(dates, end)
+        lo = 0 if start is None else bisect_left(self.dates, start)
+        hi = len(self.points) if end is None else bisect_right(self.dates, end)
         return PriceSeries(self.pair_id, self.points[lo:hi], self.quote_direction)
 
 

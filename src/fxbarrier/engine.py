@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,7 +48,11 @@ class StepMode(str, Enum):
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Monte Carlo settings. The seed is explicit: no entropy-seeded default."""
+    """Monte Carlo settings. The seed is explicit: no entropy-seeded default.
+
+    `seed` and `n_paths` must be integers (numpy integers are accepted and
+    stored as int); a float, even an integral one, or a bool is rejected.
+    """
 
     seed: int
     n_paths: int = 10_000
@@ -54,9 +60,14 @@ class SimulationParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "step_mode", StepMode(self.step_mode))
+        for name in ("seed", "n_paths"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -81,21 +92,23 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
     Increments are taken between consecutive observations (a weekend gap is
     one increment) and sigma_h is their n-1 sample standard deviation, so the
     estimate is in rate units per step. Raises on fewer than 3 observations.
+    The increments are a prefix of `series.rate_diffs`, which the first call
+    on a series builds in one O(n) pass; each call after that costs one
+    bisect plus the standard deviation of the prefix.
     """
-    rates = [r for d, r in series.points if d <= as_of]
-    if len(rates) < 3:
+    k = bisect_right(series.dates, as_of)
+    if k < 3:
         raise ValueError(
             f"insufficient history: need at least 3 observations on or before "
-            f"{as_of}, have {len(rates)}"
+            f"{as_of}, have {k}"
         )
-    diffs = np.diff(np.asarray(rates, dtype=np.float64))
-    sigma = float(np.std(diffs, ddof=1))
-    return VolatilityEstimate(as_of=as_of, sigma_h=sigma, n_obs=len(diffs))
+    sigma = float(np.std(series.rate_diffs[: k - 1], ddof=1))
+    return VolatilityEstimate(as_of=as_of, sigma_h=sigma, n_obs=k - 1)
 
 
 def derive_seed(seed: int, question_id: str, date: dt.date) -> int:
     """Stable 64-bit substream seed for one (run seed, question, day) cell."""
-    msg = f"{int(seed)}:{question_id}:{date.isoformat()}".encode()
+    msg = f"{operator.index(seed)}:{question_id}:{date.isoformat()}".encode()
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
 
 

@@ -269,6 +269,7 @@ def _run_question(
     sim: SimulationParams,
     consensus: ConsensusParams,
 ) -> QuestionResult:
+    """One question's resolution, forecasts and scores; `crowd_records` are its own."""
     series, question = spec.to_question(prices[spec.pair_id])
     resolution = resolve(series, question)
     result = QuestionResult(question=question, resolution=resolution)
@@ -328,9 +329,12 @@ def run_pipeline(config: RunConfig) -> RunReport:
             warnings.append(
                 f"consensus file {config.external_consensus_file} contains no series"
             )
+    crowd_by_question: dict[str, list[CrowdRecord]] = {}
+    for record in crowd_records:
+        crowd_by_question.setdefault(record.question_id, []).append(record)
     configured = {q.question_id for q in config.questions}
     for name, file, qids in (
-        ("crowd", config.crowd_file, {r.question_id for r in crowd_records}),
+        ("crowd", config.crowd_file, set(crowd_by_question)),
         ("consensus", config.external_consensus_file, set(external)),
     ):
         if stray := sorted(qids - configured):
@@ -342,8 +346,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
         if spec.pair_id in price_errors:
             return spec.question_id, None, price_errors[spec.pair_id]
         try:
+            crowd = crowd_by_question.get(spec.question_id, [])
             return spec.question_id, _run_question(
-                spec, prices, crowd_records, external, config.sim, config.consensus
+                spec, prices, crowd, external, config.sim, config.consensus
             ), None
         except ValueError as exc:
             return spec.question_id, None, str(exc)

@@ -8,8 +8,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxbarrier import (
+    ConsensusMethod,
     ConsensusParams,
     CrowdRecord,
     Question,
@@ -276,6 +279,81 @@ class TestCrowdSeries:
         records = [rec("a", ts(1), 0.6), rec("a", ts(1, 13), 0.1, qid="other")]
         series = crowd_series(records, make_question(dates), dates, ConsensusParams())
         assert series.values == (0.6,)
+
+
+def rescan_latest(records, at: dt.datetime) -> list[SnapshotEntry]:
+    """Reference snapshot: rescan every record, keeping each forecaster's
+    largest (time, input order) at or before `at`."""
+    latest = {}
+    for order, r in enumerate(records):
+        if r.at <= at and (
+            r.forecaster_id not in latest or (r.at, order) >= latest[r.forecaster_id][:2]
+        ):
+            latest[r.forecaster_id] = (r.at, order, r.p)
+    ranked = sorted(latest.items(), key=lambda kv: (kv[1][0], kv[0]))
+    return [SnapshotEntry(fid, p, k) for k, (fid, (_, _, p)) in enumerate(ranked, start=1)]
+
+
+def rescan_series(records, question, sample_dates, params) -> list:
+    """Reference crowd series: one full rescan of the records per sample date."""
+    mine = [r for r in records if r.question_id == question.question_id]
+    points = []
+    for d in sorted(set(sample_dates)):
+        snap = rescan_latest(mine, dt.datetime.combine(d, dt.time.max, tzinfo=UTC))
+        if snap:
+            if params.method is ConsensusMethod.WEIGHTED_MEDIAN:
+                points.append((d, community_prediction(snap, params)))
+            else:
+                points.append((d, combine_logit([e.p for e in snap], params.extremize_a)))
+    return points
+
+
+# Few forecasters, days and hours, so same-instant duplicates and equal times
+# across forecasters are common; a third of the records belong to another
+# question; sample days start before the earliest possible submission.
+_records = st.lists(
+    st.builds(
+        rec,
+        st.sampled_from("abcd"),
+        st.builds(ts, st.integers(3, 7), st.sampled_from([0, 12, 23])),
+        st.integers(0, 20).map(lambda k: k / 20),
+        st.sampled_from(["q", "q", "other"]),
+    ),
+    max_size=40,
+)
+_days = st.lists(st.integers(1, 9).map(lambda d: D(2022, 6, d)), max_size=12)
+_params = st.builds(
+    ConsensusParams,
+    st.sampled_from(ConsensusMethod),
+    st.sampled_from([0.5, 2.0]),
+    st.sampled_from([0.0, 1.0]),
+)
+
+
+class TestSweepMatchesRescan:
+    @settings(max_examples=300, deadline=None)
+    @given(records=_records, days=_days, params=_params)
+    def test_crowd_series(self, records, days, params):
+        question = make_question([D(2022, 6, 1), D(2022, 6, 9)])
+        series = crowd_series(records, question, days, params)
+        assert list(series.points) == rescan_series(records, question, days, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=_records, day=st.integers(1, 9), hour=st.sampled_from([0, 11, 12, 23]))
+    def test_latest_per_forecaster(self, records, day, hour):
+        at = dt.datetime(2022, 6, day, hour, tzinfo=UTC)
+        assert latest_per_forecaster(records, at) == rescan_latest(records, at)
+
+    def test_same_instant_duplicate_keeps_the_later_record(self):
+        records = [rec("a", ts(2), 0.3), rec("b", ts(2), 0.5), rec("a", ts(2), 0.6)]
+        dates = [D(2022, 6, 2)]
+        params = ConsensusParams(method="logit_combine", extremize_a=1.0)
+        series = crowd_series(records[::-1], make_question(dates), dates, params)
+        assert series.values == (combine_logit([0.3, 0.5], 1.0),)
+        assert latest_per_forecaster(records, ts(3)) == [
+            SnapshotEntry("a", 0.6, 1),
+            SnapshotEntry("b", 0.5, 2),
+        ]
 
 
 class TestLoadCrowdCsv:

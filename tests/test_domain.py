@@ -141,6 +141,23 @@ class TestResolve:
         assert resolve(truncated, q) == res
 
 
+class TestPriceSeriesCache:
+    def test_cached_arrays_do_not_change_identity(self):
+        a = random_walk_series(seed=5, n=30)
+        b = random_walk_series(seed=5, n=30)
+        before = (repr(a), hash(a))
+        assert a.rate_diffs.tolist() == np.diff(np.asarray(a.rates)).tolist()
+        assert a.dates[0] == D(2022, 1, 3) and a.rate_on(a.dates[7]) == a.points[7][1]
+        assert "rate_diffs" in vars(a) and "rate_diffs" not in vars(b)
+        assert (repr(a), hash(a)) == before == (repr(b), hash(b))
+        assert a == b and b == a
+
+    def test_rate_diffs_are_read_only(self):
+        series = random_walk_series(seed=5, n=30)
+        with pytest.raises(ValueError):
+            series.rate_diffs[0] = 0.0
+
+
 class TestValidation:
     def test_price_series_rejects_nonpositive_rates(self):
         for bad in (-0.5, float("nan"), float("inf"), float("-inf")):

@@ -5,9 +5,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxbarrier import (
     PriceSeries,
@@ -63,6 +67,59 @@ class TestEstimateVolatility:
         b = estimate_volatility(series_from(base + [0.70]), as_of)
         assert a == b
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80))
+    def test_every_day_matches_a_fresh_diff_of_the_prefix(self, seed, n):
+        rng = np.random.default_rng(seed)
+        rates = (1.0 + np.cumsum(rng.normal(0.0, 0.01, n))).clip(0.05).tolist()
+        series = series_from(rates)
+        # every calendar day from before the first close to after the last,
+        # weekends included
+        day = series.dates[0] - dt.timedelta(days=1)
+        while day <= series.dates[-1] + dt.timedelta(days=3):
+            prefix = [r for d, r in series.points if d <= day]
+            if len(prefix) < 3:
+                message = (
+                    "^insufficient history: need at least 3 observations on or "
+                    f"before {day}, have {len(prefix)}$"
+                )
+                with pytest.raises(ValueError, match=message):
+                    estimate_volatility(series, day)
+            else:
+                est = estimate_volatility(series, day)
+                assert est.sigma_h == float(np.std(np.diff(np.asarray(prefix)), ddof=1))
+                assert est.n_obs == len(prefix) - 1
+            day += dt.timedelta(days=1)
+
+
+    def test_threads_racing_to_fill_the_cache_agree(self):
+        # Question threads share one PriceSeries, so several may make the
+        # first call on it at once.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                series = random_walk_series(seed=seed, n=300)
+                days = series.dates[100::25]
+                start = threading.Barrier(len(days), timeout=10)
+                got = {}
+
+                def work(day):
+                    start.wait()
+                    got[day] = estimate_volatility(series, day).sigma_h
+
+                threads = [threading.Thread(target=work, args=(d,)) for d in days]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                for day in days:
+                    prefix = [r for d, r in series.points if d <= day]
+                    assert got[day] == float(np.std(np.diff(prefix), ddof=1))
+        finally:
+            sys.setswitchinterval(old)
+
 
 class TestAnalytic:
     def test_barrier_at_start_is_certain(self):
@@ -105,6 +162,22 @@ class TestSimulate:
             SimulationParams(seed=1, n_paths=0)
         with pytest.raises(ValueError):
             SimulationParams(seed=-1)
+
+    @pytest.mark.parametrize("field", ["seed", "n_paths"])
+    @pytest.mark.parametrize("value", [7.9, 7.0, True])
+    def test_params_reject_floats_and_bools(self, field, value):
+        kwargs = {"seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SimulationParams(**kwargs)
+
+    def test_params_accept_numpy_integers_as_int(self):
+        params = SimulationParams(seed=np.int64(5), n_paths=np.int64(5))
+        assert params == SimulationParams(seed=5, n_paths=5)
+        assert type(params.seed) is int and type(params.n_paths) is int
+        with pytest.raises(ValueError, match="^n_paths must be at least 1$"):
+            SimulationParams(seed=1, n_paths=np.int64(0))
+        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+            SimulationParams(seed=np.int64(-1))
 
     def test_deterministic_given_seed(self):
         a = simulate_barrier_probability(1.0, 0.01, 0.85, 60, PARAMS)
