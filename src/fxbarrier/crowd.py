@@ -117,16 +117,19 @@ def community_prediction(
 ) -> float:
     """Recency-weighted median of a latest-per-forecaster snapshot.
 
-    Weights are exp(recency_shape * sqrt(age_rank)). The result is the
-    smallest probability whose cumulative weight, over probabilities sorted
-    ascending, reaches half the total weight; this tie-break is deterministic
-    and independent of input order.
+    Weights are exp(recency_shape * sqrt(age_rank)), each divided by the
+    newest rank's weight so that none overflows at any finite shape. The
+    result is the smallest probability whose cumulative weight, over
+    probabilities sorted ascending, reaches half the total weight; this
+    tie-break is deterministic and independent of input order.
     """
     entries = list(snapshot)
     if not entries:
         raise ValueError("no forecasts in snapshot")
+    newest = math.sqrt(max(e.age_rank for e in entries))
     weighted = sorted(
-        (e.p, math.exp(params.recency_shape * math.sqrt(e.age_rank))) for e in entries
+        (e.p, math.exp(params.recency_shape * (math.sqrt(e.age_rank) - newest)))
+        for e in entries
     )
     total = math.fsum(w for _, w in weighted)
     acc = 0.0

@@ -15,7 +15,7 @@ import reprlib
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .calibration import RegressionResult, align_series, ols_fit
@@ -37,13 +37,6 @@ from .io import ingest_price_csv, load_consensus_csv
 from .scoring import MeanScoreCurve, mean_score_curve, score_series
 
 _QID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-
-# Curve names double as mean_scores_<name>.csv file stems. The crowd-only
-# curve covers questions the random walk cannot forecast (pegged currencies).
-RW_CURVE = "random_walk"
-CROWD_CURVE = "crowd"
-COMBINED_CURVE = "combined"
-CROWD_ONLY_CURVE = "crowd_only"
 
 
 @dataclass(frozen=True)
@@ -232,10 +225,15 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
 
 @dataclass
 class QuestionResult:
+    """One question's outcome, and its forecasts and scores by source.
+
+    `forecasts` holds only non-empty series, and `scores` has the same keys.
+    """
+
     question: Question
     resolution: Resolution
-    forecasts: dict[Source, ForecastSeries] = field(default_factory=dict)
-    scores: dict[Source, ScoreSeries] = field(default_factory=dict)
+    forecasts: dict[Source, ForecastSeries]
+    scores: dict[Source, ScoreSeries]
 
 
 @dataclass
@@ -249,18 +247,6 @@ class RunReport:
     warnings: list[str]
 
 
-def _combined_series(
-    rw: ForecastSeries, crowd: ForecastSeries, extremize_a: float
-) -> ForecastSeries:
-    crowd_map = dict(crowd.points)
-    points = tuple(
-        (d, combine_logit([p, crowd_map[d]], extremize_a))
-        for d, p in rw.points
-        if d in crowd_map
-    )
-    return ForecastSeries(rw.question_id, Source.COMBINED, points)
-
-
 def _run_question(
     spec: QuestionSpec,
     prices: dict[str, PriceSeries],
@@ -269,36 +255,34 @@ def _run_question(
     sim: SimulationParams,
     consensus: ConsensusParams,
 ) -> QuestionResult:
-    """One question's resolution, forecasts and scores; `crowd_records` are its own."""
+    """One question's resolution, forecasts and scores; `crowd_records` are its own.
+
+    A source whose series has no forecast day is dropped here, once: it is
+    neither scored nor kept, so it never reaches the report.
+    """
     series, question = spec.to_question(prices[spec.pair_id])
     resolution = resolve(series, question)
-    result = QuestionResult(question=question, resolution=resolution)
-
+    forecasts: dict[Source, ForecastSeries] = {}
     if not spec.non_floating:
-        rw = rolling_forecast(series, question, sim)
-        if len(rw):
-            result.forecasts[Source.RANDOM_WALK] = rw
-            result.scores[Source.RANDOM_WALK] = score_series(rw, resolution)
-
-    crowd_fs: ForecastSeries | None = None
+        forecasts[Source.RANDOM_WALK] = rolling_forecast(series, question, sim)
     days = forecast_days(question, resolution)
     if spec.question_id in external:
         ext = external[spec.question_id]
         points = tuple(pt for pt in ext.points if pt[0] in days)
-        crowd_fs = ForecastSeries(ext.question_id, ext.source, points)
+        forecasts[Source.CROWD] = ForecastSeries(ext.question_id, ext.source, points)
     elif crowd_records:
-        crowd_fs = crowd_series(crowd_records, question, days, consensus)
-    if crowd_fs is not None and len(crowd_fs):
-        result.forecasts[Source.CROWD] = crowd_fs
-        result.scores[Source.CROWD] = score_series(crowd_fs, resolution)
-
-    rw_fs = result.forecasts.get(Source.RANDOM_WALK)
-    if rw_fs is not None and crowd_fs is not None and len(crowd_fs):
-        combined = _combined_series(rw_fs, crowd_fs, consensus.extremize_a)
-        if len(combined):
-            result.forecasts[Source.COMBINED] = combined
-            result.scores[Source.COMBINED] = score_series(combined, resolution)
-    return result
+        forecasts[Source.CROWD] = crowd_series(crowd_records, question, days, consensus)
+    if Source.RANDOM_WALK in forecasts and Source.CROWD in forecasts:
+        crowd = dict(forecasts[Source.CROWD].points)
+        points = tuple(
+            (d, combine_logit([p, crowd[d]], consensus.extremize_a))
+            for d, p in forecasts[Source.RANDOM_WALK].points
+            if d in crowd
+        )
+        forecasts[Source.COMBINED] = ForecastSeries(question.question_id, Source.COMBINED, points)
+    forecasts = {source: fs for source, fs in forecasts.items() if len(fs)}
+    scores = {source: score_series(fs, resolution) for source, fs in forecasts.items()}
+    return QuestionResult(question, resolution, forecasts, scores)
 
 
 def run_pipeline(config: RunConfig) -> RunReport:
@@ -344,25 +328,20 @@ def run_pipeline(config: RunConfig) -> RunReport:
 
     def job(spec: QuestionSpec):
         if spec.pair_id in price_errors:
-            return spec.question_id, None, price_errors[spec.pair_id]
+            return None, price_errors[spec.pair_id]
         try:
             crowd = crowd_by_question.get(spec.question_id, [])
-            return spec.question_id, _run_question(
+            return _run_question(
                 spec, prices, crowd, external, config.sim, config.consensus
             ), None
         except ValueError as exc:
-            return spec.question_id, None, str(exc)
+            return None, str(exc)
 
+    # pool.map yields in `specs` order, which is question-id order
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list(pool.map(job, specs))
-
-    results: dict[str, QuestionResult] = {}
-    errors: dict[str, str] = {}
-    for qid, result, error in sorted(outcomes, key=lambda o: o[0]):
-        if result is not None:
-            results[qid] = result
-        else:
-            errors[qid] = error
+        outcomes = list(zip(specs, pool.map(job, specs)))
+    results = {s.question_id: r for s, (r, _) in outcomes if r is not None}
+    errors = {s.question_id: e for s, (r, e) in outcomes if r is None}
     if not results:
         details = "; ".join(f"{qid}: {msg}" for qid, msg in sorted(errors.items()))
         raise ValueError(f"all questions failed: {details}")
@@ -373,11 +352,13 @@ def run_pipeline(config: RunConfig) -> RunReport:
     with_rw = {q for q, r in results.items() if Source.RANDOM_WALK in r.scores}
     with_crowd = {q for q, r in results.items() if Source.CROWD in r.scores}
     shared = sorted(with_rw & with_crowd)
+    # Curve names double as mean_scores_<name>.csv file stems. The crowd-only
+    # curve covers questions the random walk cannot forecast (pegged currencies).
     curve_scores = {
-        RW_CURVE: scores(Source.RANDOM_WALK, with_rw),
-        CROWD_CURVE: scores(Source.CROWD, shared),
-        COMBINED_CURVE: scores(Source.COMBINED, shared),
-        CROWD_ONLY_CURVE: scores(Source.CROWD, with_crowd - with_rw),
+        "random_walk": scores(Source.RANDOM_WALK, with_rw),
+        "crowd": scores(Source.CROWD, shared),
+        "combined": scores(Source.COMBINED, shared),
+        "crowd_only": scores(Source.CROWD, with_crowd - with_rw),
     }
     mean_curves = {
         name: mean_score_curve(series) for name, series in curve_scores.items() if series
@@ -431,47 +412,24 @@ def format_series(column: str, points) -> str:
     return f"date,{column}\n" + rows
 
 
-def _write_text(path: Path, text: str) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
     """Write all report files with fixed 6-decimal formatting.
 
     Emits forecast_<question>_<source>.csv and scores_<question>_<source>.csv
-    per non-empty series, mean_scores_<name>.csv per curve, resolutions.csv
-    for every configured question (with any per-question error), and
-    calibration.txt when a regression was fitted.
+    per source in a result's `forecasts`, which holds only sources with a
+    forecast day, mean_scores_<name>.csv per curve, resolutions.csv for every
+    configured question (with any per-question error), and calibration.txt
+    when a regression was fitted. Returns the written paths, sorted.
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    order = [Source.RANDOM_WALK, Source.CROWD, Source.COMBINED]
-    for qid in sorted(report.results):
-        result = report.results[qid]
-        for source in order:
-            fs = result.forecasts.get(source)
-            if fs is not None and len(fs):
-                path = out / f"forecast_{qid}_{source.value}.csv"
-                _write_text(path, format_series("p", fs.points))
-                written.append(path)
-            ss = result.scores.get(source)
-            if ss is not None and len(ss):
-                path = out / f"scores_{qid}_{source.value}.csv"
-                _write_text(path, format_series("score", ss.points))
-                written.append(path)
-
-    for name in (RW_CURVE, CROWD_CURVE, COMBINED_CURVE, CROWD_ONLY_CURVE):
-        curve = report.mean_curves.get(name)
-        if curve is not None and len(curve):
-            path = out / f"mean_scores_{name}.csv"
-            rows = "".join(
-                f"{d.isoformat()},{m:.6f},{n}\n" for d, m, n in curve.points
-            )
-            _write_text(path, "date,mean_score,n_open\n" + rows)
-            written.append(path)
+    files: dict[str, str] = {}
+    for qid, result in report.results.items():
+        for source, fs in result.forecasts.items():
+            ss = result.scores[source]
+            files[f"forecast_{qid}_{source.value}.csv"] = format_series("p", fs.points)
+            files[f"scores_{qid}_{source.value}.csv"] = format_series("score", ss.points)
+    for name, curve in report.mean_curves.items():
+        rows = "".join(f"{d.isoformat()},{m:.6f},{n}\n" for d, m, n in curve.points)
+        files[f"mean_scores_{name}.csv"] = "date,mean_score,n_open\n" + rows
 
     rows = []
     for qid in sorted(set(report.results) | set(report.errors)):
@@ -481,13 +439,12 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
         else:
             msg = report.errors[qid].replace('"', "'")
             rows.append(f'{qid},,,"{msg}"\n')
-    path = out / "resolutions.csv"
-    _write_text(path, "question_id,outcome,resolve_date,error\n" + "".join(rows))
-    written.append(path)
+    files["resolutions.csv"] = "question_id,outcome,resolve_date,error\n" + "".join(rows)
+    if report.regression:
+        files["calibration.txt"] = format_regression(report.regression)
 
-    if report.regression is not None:
-        path = out / "calibration.txt"
-        _write_text(path, format_regression(report.regression))
-        written.append(path)
-
-    return sorted(written)
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
+    return sorted(out / name for name in files)

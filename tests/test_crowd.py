@@ -153,6 +153,24 @@ class TestCommunityPrediction:
         with pytest.raises(ValueError, match="no forecasts"):
             community_prediction([], ConsensusParams())
 
+    def test_large_shapes_match_high_precision_oracle(self):
+        # with 60 forecasters, exp(shape * sqrt(60)) overflows a float from shape 92 up
+        rng = np.random.default_rng(12)
+        ranks = rng.permutation(60) + 1
+        snap = [SnapshotEntry(f"f{i}", float(rng.uniform()), int(ranks[i])) for i in range(60)]
+        for shape in (1.0, 50.0, 92.0, 100.0, 1000.0):
+            with mpmath.workdps(60):
+                weights = [mpmath.exp(shape * mpmath.sqrt(e.age_rank)) for e in snap]
+                half = mpmath.fsum(weights) / 2
+                acc = mpmath.mpf(0)
+                for w, e in sorted(zip(weights, snap), key=lambda we: we[1].p):
+                    acc += w
+                    if acc >= half:
+                        want = e.p
+                        break
+            got = community_prediction(snap, ConsensusParams(recency_shape=shape))
+            assert got == want, shape
+
 
 def logit_oracle(ps, a, dps=60):
     """Arbitrary-precision evaluation of the extremized mean-logit pool."""

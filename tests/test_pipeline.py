@@ -383,3 +383,64 @@ class TestRunPipeline:
             vals = [mp[d] for mp in maps if d in mp]
             assert n == len(vals)
             assert m == pytest.approx(sum(vals) / len(vals))
+
+    def test_a_source_with_no_forecast_day_is_left_out(self, tmp_path):
+        # q-wkd opens on a Saturday and resolves on Monday, so its window holds
+        # no trading day: the random walk has no point, the crowd has two
+        path = build_config(tmp_path)
+        flt = random_walk_series("FLTUSD", seed=11, n=90, x0=1.0, sigma=0.008)
+        friday, monday = flt.dates[19], flt.dates[20]
+        assert (friday.weekday(), monday.weekday()) == (4, 0)
+        weekend = (friday + dt.timedelta(days=1), friday + dt.timedelta(days=2))
+        raw = json.loads(path.read_text())
+        raw["questions"].append(
+            {
+                "question_id": "q-wkd",
+                "pair_id": "FLTUSD",
+                "open_date": weekend[0].isoformat(),
+                "close_date": flt.dates[-1].isoformat(),
+                "threshold_kind": "absolute_level",
+                "threshold_value": flt.rate_on(monday) * 1.0001,
+            }
+        )
+        path.write_text(json.dumps(raw))
+        with (tmp_path / "crowd.csv").open("a", encoding="utf-8") as fh:
+            fh.write(f"q-wkd,alice,{friday.isoformat()}T12:00:00Z,0.3\n")
+        config = load_config(path)
+        report = run_pipeline(config)
+
+        wkd = report.results["q-wkd"]
+        assert wkd.resolution.resolve_date == monday
+        assert set(wkd.forecasts) == set(wkd.scores) == {Source.CROWD}
+        paths = emit_report(report, config.output_dir)
+        assert set(paths) == set(config.output_dir.iterdir())
+        assert {p.name for p in paths if "q-wkd" in p.name} == {
+            "forecast_q-wkd_crowd.csv",
+            "scores_q-wkd_crowd.csv",
+        }
+        peg_days = report.results["q-peg"].scores[Source.CROWD].dates
+        open_count = {d: n for d, _, n in report.mean_curves["crowd_only"].points}
+        assert wkd.scores[Source.CROWD].dates == weekend
+        for d in weekend:
+            assert open_count[d] == 1 + (d in peg_days)
+
+    def test_external_consensus_outside_the_window_writes_no_crowd_file(self, tmp_path):
+        path = build_config(tmp_path)
+        flt = random_walk_series("FLTUSD", seed=11, n=90, x0=1.0, sigma=0.008)
+        # q-flt opens on dates[15] and its window ends at its resolve date
+        lines = ["question_id,date,probability"]
+        lines += [f"q-flt,{d.isoformat()},0.42" for d in flt.dates[:15]]
+        (tmp_path / "consensus.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = json.loads(path.read_text())
+        raw["external_consensus_file"] = "consensus.csv"
+        path.write_text(json.dumps(raw))
+        config = load_config(path)
+        report = run_pipeline(config)
+        flt_result = report.results["q-flt"]
+        assert set(flt_result.forecasts) == set(flt_result.scores) == {Source.RANDOM_WALK}
+        names = {p.name for p in emit_report(report, config.output_dir)}
+        assert {n for n in names if "q-flt" in n} == {
+            "forecast_q-flt_random_walk.csv",
+            "scores_q-flt_random_walk.csv",
+        }
+        assert "forecast_q-peg_crowd.csv" in names
