@@ -11,7 +11,10 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import operator
+import os
+import threading
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,7 +34,22 @@ from .domain import (
 # Philox-4x64 emits four 64-bit words per counter block; per-path strides are
 # rounded up to whole blocks so any path's draws sit at fixed counter offsets.
 _WORDS_PER_BLOCK = 4
-_MAX_CHUNK_WORDS = 4_000_000
+# Each of a kernel thread's three working arrays holds at most this many bytes
+# (for a path longer than that, one path), so a block's arrays stay in cache.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that take a kernel call's unclaimed blocks alongside its caller; numpy
+# and scipy release the GIL in the kernel's array loops, so they run in
+# parallel. The executor starts its threads on first use, not at import.
+_HELPER_THREADS = _usable_cpus() - 1
+_HELPERS = ThreadPoolExecutor(_HELPER_THREADS, "fxbarrier-mc") if _HELPER_THREADS else None
 
 
 class StepMode(str, Enum):
@@ -44,6 +62,13 @@ class StepMode(str, Enum):
 
     TRADING_DAYS = "trading_days"
     CALENDAR_DAYS = "calendar_days"
+
+
+def as_integer(name: str, value) -> int:
+    """`value` as an int; numpy integers pass, a bool or any float is a ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -61,10 +86,7 @@ class SimulationParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "step_mode", StepMode(self.step_mode))
         for name in ("seed", "n_paths"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -124,26 +146,80 @@ def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed:
     exp(-2ac), so each path contributes 1 - prod(1 - p_step) instead of a
     raw indicator. This keeps the estimator unbiased for the first-passage
     probability of the underlying continuous walk and tightens the variance.
+
+    The paths are cut into blocks of `_BLOCK_BYTES // (8 * stride)` paths (at
+    least one), so each of a thread's three working arrays stays within
+    `_BLOCK_BYTES`. The calling thread and up to `_HELPER_THREADS` threads of
+    the shared `_HELPERS` pool claim blocks from one iterator until none is
+    left; each block writes only its own slice of `survival`, and the mean is
+    taken over the whole array, so neither block size nor which thread filled
+    a block changes any bit. A helper submitted by this call that has not
+    started when the caller runs out of blocks is cancelled, so a caller never
+    waits behind another call's queued work. A block that raises makes every
+    thread stop at its next claim, and helpers are joined before the result is
+    read or an error is raised.
     """
     stride = -(-n_steps // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
-    chunk = max(1, min(n_paths, _MAX_CHUNK_WORDS // stride))
+    block = max(1, _BLOCK_BYTES // (8 * stride))
     survival = np.empty(n_paths, dtype=np.float64)
-    start = 0
-    while start < n_paths:
-        stop = min(start + chunk, n_paths)
-        bitgen = np.random.Philox(key=int(seed))
-        bitgen.advance(start * stride // _WORDS_PER_BLOCK)
-        uniforms = np.random.Generator(bitgen).random((stop - start, stride))
-        levels = ndtri(uniforms[:, :n_steps])
-        np.cumsum(levels, axis=1, out=levels)
-        levels += d_over_sigma
-        np.maximum(levels, 0.0, out=levels)
-        left = np.empty_like(levels)
-        left[:, 0] = d_over_sigma
-        left[:, 1:] = levels[:, :-1]
-        step_hit = np.exp(-2.0 * left * levels)
-        np.prod(1.0 - step_hit, axis=1, out=survival[start:stop])
-        start = stop
+    starts = iter(range(0, n_paths, block))
+    claim = threading.Lock()
+
+    def fill_blocks() -> None:
+        arrays = None
+        try:
+            while True:
+                with claim:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                if arrays is None:
+                    rows = min(block, n_paths)
+                    arrays = (np.empty((rows, stride)), *np.empty((2, rows, n_steps)))
+                    bitgen = np.random.Philox(key=int(seed))
+                    draw = np.random.Generator(bitgen).random
+                    counter = 0
+                stop = min(start + block, n_paths)
+                uniforms, levels, hit = (a[: stop - start] for a in arrays)
+                # A thread's claims only move forward, and a block draws whole
+                # counter blocks, so the generator is advanced, never rebuilt.
+                bitgen.advance(start * stride // _WORDS_PER_BLOCK - counter)
+                draw(out=uniforms)
+                counter = stop * stride // _WORDS_PER_BLOCK
+                ndtri(uniforms[:, :n_steps], out=levels)
+                np.cumsum(levels, axis=1, out=levels)
+                levels += d_over_sigma
+                np.maximum(levels, 0.0, out=levels)
+                # (-2a)c per step, a being the previous level: taken along the
+                # flattened block (contiguous, so one loop, not one per path),
+                # then column 0, whose previous level is d, is overwritten.
+                flat, flat_hit = levels.reshape(-1), hit.reshape(-1)
+                np.multiply(flat[:-1], -2.0, out=flat_hit[1:])
+                np.multiply(flat_hit[1:], flat[1:], out=flat_hit[1:])
+                np.multiply(-2.0 * d_over_sigma, levels[:, 0], out=hit[:, 0])
+                np.exp(hit, out=hit)
+                np.subtract(1.0, hit, out=hit)
+                np.prod(hit, axis=1, out=survival[start:stop])
+        except BaseException:
+            with claim:
+                for _ in starts:  # the other threads stop at their next claim
+                    pass
+            raise
+
+    helpers = []
+    if _HELPERS is not None and n_paths > block:
+        n_helpers = min(_HELPER_THREADS, -(-n_paths // block) - 1)
+        helpers = [_HELPERS.submit(fill_blocks) for _ in range(n_helpers)]
+    try:
+        fill_blocks()
+    finally:
+        for future in helpers:
+            future.cancel()
+        if helpers:
+            wait(helpers)
+    for future in helpers:
+        if not future.cancelled():
+            future.result()
     return 1.0 - float(survival.mean())
 
 

@@ -32,7 +32,7 @@ from .domain import (
     forecast_days,
     resolve,
 )
-from .engine import SimulationParams, rolling_forecast
+from .engine import SimulationParams, as_integer, rolling_forecast
 from .io import ingest_price_csv, load_consensus_csv
 from .scoring import MeanScoreCurve, mean_score_curve, score_series
 
@@ -98,6 +98,9 @@ class QuestionSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A whole run. `workers` is the number of question threads, an integer
+    under the same rule as `SimulationParams.n_paths`."""
+
     price_files: tuple[PriceFileSpec, ...]
     questions: tuple[QuestionSpec, ...]
     sim: SimulationParams
@@ -108,6 +111,7 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "workers", as_integer("workers", self.workers))
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         pairs = [p.pair_id for p in self.price_files]

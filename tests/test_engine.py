@@ -7,12 +7,16 @@ import math
 import statistics
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
+import fxbarrier.engine as engine_mod
 from fxbarrier import (
     PriceSeries,
     Question,
@@ -226,10 +230,8 @@ class TestSimulate:
         assert probs == sorted(probs)
 
     def test_chunk_layout_does_not_change_result(self, monkeypatch):
-        import fxbarrier.engine as engine_mod
-
         base = simulate_barrier_probability(1.0, 0.01, 0.92, 37, PARAMS)
-        monkeypatch.setattr(engine_mod, "_MAX_CHUNK_WORDS", 1_000)
+        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8_000)
         chunked = simulate_barrier_probability(1.0, 0.01, 0.92, 37, PARAMS)
         assert base == chunked
 
@@ -254,6 +256,112 @@ class TestSimulate:
         ana = analytic_barrier_probability(0.02, 0.05, -0.05, 30)
         assert p > 0.2
         assert abs(p - ana) < 0.02
+
+
+def reference_crossing_probability(d_over_sigma, n_steps, n_paths, seed):
+    """The kernel as it was before path blocks: one chunk, with a `left` copy."""
+    stride = -(-n_steps // 4) * 4
+    survival = np.empty(n_paths, dtype=np.float64)
+    bitgen = np.random.Philox(key=int(seed))
+    uniforms = np.random.Generator(bitgen).random((n_paths, stride))
+    levels = ndtri(uniforms[:, :n_steps])
+    np.cumsum(levels, axis=1, out=levels)
+    levels += d_over_sigma
+    np.maximum(levels, 0.0, out=levels)
+    left = np.empty_like(levels)
+    left[:, 0] = d_over_sigma
+    left[:, 1:] = levels[:, :-1]
+    step_hit = np.exp(-2.0 * left * levels)
+    np.prod(1.0 - step_hit, axis=1, out=survival)
+    return 1.0 - float(survival.mean())
+
+
+@pytest.fixture(params=[0, 3], ids=["no_helpers", "3_helpers"])
+def helper_threads(request, monkeypatch):
+    """Run the kernel with no helper threads, or with 3 whatever the CPU count.
+
+    With helpers, threads switch far more often than by default, so claims
+    from the caller and the helpers interleave.
+    """
+    pool = ThreadPoolExecutor(request.param) if request.param else None
+    monkeypatch.setattr(engine_mod, "_HELPERS", pool)
+    monkeypatch.setattr(engine_mod, "_HELPER_THREADS", request.param)
+    old = sys.getswitchinterval()
+    if pool is not None:
+        sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(old)
+        if pool is not None:
+            pool.shutdown()
+
+
+class TestKernelBlocks:
+    # 8 bytes makes every block one path. 8 * 4 * 7 bytes hold 7 paths of up
+    # to 4 steps and fewer longer ones, so most path counts leave a short last
+    # block; so does the default size at 999 and 2,731 paths of 61 or 129 steps.
+    @pytest.mark.parametrize("block_bytes", [8, 8 * 4 * 7, None])
+    def test_bits_match_the_single_chunk_reference(self, helper_threads, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(20261018)
+        steps = [1, 2, 3, 5, 7, 37, 61, 129]
+        paths = [1, 2, 6, 7, 8, 999, 2_731]
+        for n_steps in steps:
+            for n_paths in paths if block_bytes != 8 else paths[:5]:
+                d = float(rng.uniform(0.05, 3.0) * math.sqrt(n_steps))
+                seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+                got = engine_mod._crossing_probability(d, n_steps, n_paths, seed)
+                assert got == reference_crossing_probability(d, n_steps, n_paths, seed), (
+                    d, n_steps, n_paths, seed,
+                )
+
+    def test_public_entry_point_matches_reference(self, helper_threads):
+        # 60 steps x 20k paths is many default-size blocks
+        got = simulate_barrier_probability(1.0, 0.01, 0.9, 60, PARAMS)
+        assert got == reference_crossing_probability(0.1 / 0.01, 60, PARAMS.n_paths, PARAMS.seed)
+
+    def test_failing_block_propagates_and_leaves_no_writer(self, helper_threads, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 50)
+        before = simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
+        started, done = [], []
+        lock = threading.Lock()
+
+        def failing_ndtri(*args, **kwargs):
+            with lock:
+                started.append(None)
+                if len(started) == 2:
+                    raise FloatingPointError("second block")
+            time.sleep(0.01)  # other threads are mid-block when one fails
+            result = ndtri(*args, **kwargs)
+            done.append(None)
+            return result
+
+        monkeypatch.setattr(engine_mod, "ndtri", failing_ndtri)
+        with pytest.raises(FloatingPointError, match="^second block$"):
+            simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
+        finished = len(done)
+        # of 400 blocks, each other thread finishes at most the one it holds
+        assert len(started) <= 2 + helper_threads
+        monkeypatch.setattr(engine_mod, "ndtri", ndtri)
+        assert simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS) == before
+        assert len(done) == finished  # no thread of the failed call was still running
+
+    @pytest.mark.parametrize("helper_threads", [3], indirect=True)
+    def test_error_in_a_helper_reaches_the_caller(self, helper_threads, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 50)
+        caller = threading.current_thread()
+
+        def ndtri_failing_off_the_caller(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("helper block")
+            time.sleep(0.001)  # leave blocks for the helpers to claim
+            return ndtri(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "ndtri", ndtri_failing_off_the_caller)
+        with pytest.raises(FloatingPointError, match="^helper block$"):
+            simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
 
 
 class TestRemainingSteps:

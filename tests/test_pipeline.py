@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fxbarrier import (
@@ -68,6 +70,16 @@ class TestConfig:
         assert config.sim.n_paths == 123
         assert config.sim.step_mode.value == "calendar_days"
         assert config.workers == 3
+
+    @pytest.mark.parametrize("workers", [1.5, True])
+    def test_library_workers_must_be_an_integer(self, tmp_path, workers):
+        config = load_config(build_config(tmp_path))
+        with pytest.raises(ValueError, match=f"^workers must be an integer, got {workers!r}$"):
+            dataclasses.replace(config, workers=workers)
+
+    def test_library_workers_accept_numpy_integers_as_int(self, tmp_path):
+        config = dataclasses.replace(load_config(build_config(tmp_path)), workers=np.int64(2))
+        assert config.workers == 2 and type(config.workers) is int
 
     def test_unknown_override_is_an_error(self, tmp_path):
         path = build_config(tmp_path)
