@@ -8,11 +8,13 @@ extremized mean-logit pool.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .domain import ForecastSeries, Question, Source
 from .io import _read_rows
@@ -73,28 +75,33 @@ class SnapshotEntry(NamedTuple):
 
 def _snapshots(
     records: Iterable[CrowdRecord], cutoffs: Iterable[dt.datetime]
-) -> Iterator[list[SnapshotEntry]]:
-    """The latest-per-forecaster snapshot at each of the ascending `cutoffs`.
+) -> Iterator[list[tuple[dt.datetime, str, float]]]:
+    """The latest-per-forecaster snapshot at each of the ascending `cutoffs`,
+    as `(at, forecaster_id, p)` in rank order, oldest first.
 
-    One stable sort of the records by time, then one cursor across them:
-    each record is visited once in all, and each cutoff costs a sort of its
-    snapshot by (time, forecaster id). Because the sort is stable, a
+    One stable sort of the records by time, then one cursor across them. The
+    snapshot is one list kept sorted by (time, forecaster id): each record
+    deletes its forecaster's previous entry, found by bisect, and inserts its
+    own, so no cutoff re-sorts anything. Because the sort is stable, a
     forecaster's same-instant duplicates are visited in input order and the
-    later one wins.
+    later one wins. The same list is yielded each time, updated in place.
     """
     ordered = sorted(records, key=lambda r: r.at)
-    latest: dict[str, tuple[dt.datetime, float]] = {}
+    latest: dict[str, tuple[dt.datetime, str, float]] = {}
+    ranked: list[tuple[dt.datetime, str, float]] = []
     i = 0
     for cutoff in cutoffs:
         while i < len(ordered) and ordered[i].at <= cutoff:
             rec = ordered[i]
-            latest[rec.forecaster_id] = (rec.at, rec.p)
+            # (at, id) is unique in `ranked`, so p is never compared
+            entry = (rec.at, rec.forecaster_id, rec.p)
+            previous = latest.get(rec.forecaster_id)
+            if previous is not None:
+                del ranked[bisect_left(ranked, previous)]
+            insort(ranked, entry)
+            latest[rec.forecaster_id] = entry
             i += 1
-        ranked = sorted(latest.items(), key=lambda kv: (kv[1][0], kv[0]))
-        yield [
-            SnapshotEntry(fid, p, rank)
-            for rank, (fid, (_, p)) in enumerate(ranked, start=1)
-        ]
+        yield ranked
 
 
 def latest_per_forecaster(
@@ -106,10 +113,33 @@ def latest_per_forecaster(
     so higher ranks are fresher opinions. Ties on time break by forecaster id;
     a forecaster's same-instant duplicates keep the later record in input
     order. Forecasters with no submission yet are absent. This is the
-    single-cutoff case of the sweep `crowd_series` runs: O(R log R) for R
-    records.
+    single-cutoff case of the sweep `crowd_series` runs: O(R log R + R N) for
+    R records of N forecasters.
     """
-    return next(_snapshots(records, [at]))
+    ranked = next(_snapshots(records, [at]))
+    return [SnapshotEntry(fid, p, rank) for rank, (_, fid, p) in enumerate(ranked, start=1)]
+
+
+def _weighted_median(ps: Iterable[float], weights: Sequence[float]) -> float:
+    """The smallest p whose cumulative weight, over (p, weight) pairs sorted
+    ascending, reaches half the total weight; `weights[i]` belongs to the i-th p."""
+    weighted = sorted(zip(ps, weights))
+    half = math.fsum(weights) / 2.0
+    acc = 0.0
+    for p, w in weighted:
+        acc += w
+        if acc >= half:
+            return p
+    return weighted[-1][0]
+
+
+@functools.lru_cache(maxsize=256)
+def _rank_weights(shape: float, newest: int) -> tuple[float, ...]:
+    """`community_prediction`'s weights for ranks 1..newest, by the same expression."""
+    return tuple(
+        math.exp(shape * (math.sqrt(rank) - math.sqrt(newest)))
+        for rank in range(1, newest + 1)
+    )
 
 
 def community_prediction(
@@ -121,23 +151,18 @@ def community_prediction(
     newest rank's weight so that none overflows at any finite shape. The
     result is the smallest probability whose cumulative weight, over
     probabilities sorted ascending, reaches half the total weight; this
-    tie-break is deterministic and independent of input order.
+    tie-break is deterministic and independent of input order. Ranks need
+    not be 1..N.
     """
     entries = list(snapshot)
     if not entries:
         raise ValueError("no forecasts in snapshot")
     newest = math.sqrt(max(e.age_rank for e in entries))
-    weighted = sorted(
-        (e.p, math.exp(params.recency_shape * (math.sqrt(e.age_rank) - newest)))
-        for e in entries
+    shape = params.recency_shape
+    return _weighted_median(
+        [e.p for e in entries],
+        [math.exp(shape * (math.sqrt(e.age_rank) - newest)) for e in entries],
     )
-    total = math.fsum(w for _, w in weighted)
-    acc = 0.0
-    for p, w in weighted:
-        acc += w
-        if acc >= total / 2.0:
-            return p
-    return weighted[-1][0]
 
 
 def combine_logit(ps: Iterable[float], a: float) -> float:
@@ -172,8 +197,10 @@ def crowd_series(
     Each day's snapshot is `latest_per_forecaster` at that end of day, with
     its tie rules, but all days come from one sweep: records of other
     questions are dropped, the question's R records are sorted by time once
-    and walked once across the D sorted dates, so the cost is
-    O(R log R + D * N log N) for at most N forecasters, not O(R * D).
+    and walked once across the D sorted dates, keeping the snapshot in rank
+    order, so the cost is O(R log R + R N + D N log N) for at most N
+    forecasters, not O(R * D). A snapshot of N forecasters holds ranks 1..N,
+    whose weights are computed once per (recency_shape, N).
 
     Dates with no submissions yet are omitted. Callers must pass dates within
     [scoring_start, resolve_date) so the series honours its resolution bound.
@@ -181,13 +208,14 @@ def crowd_series(
     relevant = [r for r in records if r.question_id == question.question_id]
     days = sorted(set(sample_dates))
     points = []
-    for d, snapshot in zip(days, _snapshots(relevant, map(_end_of_day, days))):
-        if not snapshot:
+    for d, ranked in zip(days, _snapshots(relevant, map(_end_of_day, days))):
+        if not ranked:
             continue
+        ps = [p for _, _, p in ranked]
         if params.method is ConsensusMethod.WEIGHTED_MEDIAN:
-            p = community_prediction(snapshot, params)
+            p = _weighted_median(ps, _rank_weights(params.recency_shape, len(ps)))
         else:
-            p = combine_logit([e.p for e in snapshot], params.extremize_a)
+            p = combine_logit(ps, params.extremize_a)
         points.append((d, p))
     return ForecastSeries(question.question_id, Source.CROWD, tuple(points))
 

@@ -266,18 +266,15 @@ def resolve(series: PriceSeries, question: Question) -> Resolution:
     k=1 on the first observed date in (open_date, close_date] at which the
     barrier is touched or crossed, else k=0 at close_date. Intraday moves are
     invisible at this data granularity. Data after the resolve date never
-    affects the result.
+    affects the result. The window is found by bisect on `series.dates`.
     """
     if series.pair_id != question.pair_id:
         raise ValueError(
             f"pair mismatch: series {series.pair_id!r} vs question "
             f"{question.pair_id!r}"
         )
-    in_window = [
-        (d, r)
-        for d, r in series.points
-        if question.open_date <= d <= question.close_date
-    ]
+    lo = bisect_left(series.dates, question.open_date)
+    in_window = series.points[lo : bisect_right(series.dates, question.close_date)]
     if not in_window:
         raise ValueError(
             f"insufficient data: {series.pair_id} has no observations in "

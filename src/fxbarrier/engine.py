@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import math
 import operator
 import os
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +28,6 @@ from .domain import (
     Question,
     Source,
     barrier_rate,
-    forecast_days,
     resolve,
 )
 
@@ -50,6 +50,8 @@ def _usable_cpus() -> int:
 # parallel. The executor starts its threads on first use, not at import.
 _HELPER_THREADS = _usable_cpus() - 1
 _HELPERS = ThreadPoolExecutor(_HELPER_THREADS, "fxbarrier-mc") if _HELPER_THREADS else None
+# Each kernel thread's one Philox generator and its `random` (`_philox_random`).
+_THREAD_STATE = threading.local()
 
 
 class StepMode(str, Enum):
@@ -116,7 +118,9 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
     estimate is in rate units per step. Raises on fewer than 3 observations.
     The increments are a prefix of `series.rate_diffs`, which the first call
     on a series builds in one O(n) pass; each call after that costs one
-    bisect plus the standard deviation of the prefix.
+    bisect plus the standard deviation of the prefix, computed as `np.std`
+    computes it (mean, deviations, squares, pairwise sums), so every bit
+    matches `np.std(prefix, ddof=1)`.
     """
     k = bisect_right(series.dates, as_of)
     if k < 3:
@@ -124,7 +128,10 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
             f"insufficient history: need at least 3 observations on or before "
             f"{as_of}, have {k}"
         )
-    sigma = float(np.std(series.rate_diffs[: k - 1], ddof=1))
+    # np.std(diffs, ddof=1)'s arithmetic, in its order, without its wrapper
+    diffs = series.rate_diffs[: k - 1]
+    dev = diffs - np.add.reduce(diffs) / (k - 1)
+    sigma = math.sqrt(np.add.reduce(dev * dev) / (k - 2))
     return VolatilityEstimate(as_of=as_of, sigma_h=sigma, n_obs=k - 1)
 
 
@@ -132,6 +139,35 @@ def derive_seed(seed: int, question_id: str, date: dt.date) -> int:
     """Stable 64-bit substream seed for one (run seed, question, day) cell."""
     msg = f"{operator.index(seed)}:{question_id}:{date.isoformat()}".encode()
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
+
+
+def _philox_random(seed: int, counter: int):
+    """This thread's Philox `random`, set to the stream `np.random.Philox(key=seed)`
+    gives after `advance(counter)`: key [seed, 0], counter [counter, 0, 0, 0]
+    and no buffered words.
+
+    Each thread builds one generator, on its first kernel call, and sets its
+    state from then on: that takes about a tenth of the time of building a
+    generator, most of which goes to an entropy-seeded SeedSequence that a key
+    leaves unused, and half that of `advance`. Every field of the state is
+    set, so nothing an earlier call on the thread left behind, even one that
+    raised mid-block, reaches these draws.
+    """
+    try:
+        bitgen, draw = _THREAD_STATE.philox
+    except AttributeError:
+        bitgen = np.random.Philox(key=0)
+        draw = np.random.Generator(bitgen).random
+        _THREAD_STATE.philox = bitgen, draw
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [counter, 0, 0, 0], "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return draw
 
 
 def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed: int) -> float:
@@ -153,9 +189,10 @@ def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed:
     the shared `_HELPERS` pool claim blocks from one iterator until none is
     left; each block writes only its own slice of `survival`, and the mean is
     taken over the whole array, so neither block size nor which thread filled
-    a block changes any bit. A helper submitted by this call that has not
-    started when the caller runs out of blocks is cancelled, so a caller never
-    waits behind another call's queued work. A block that raises makes every
+    a block changes any bit. Each block sets its thread's one generator to the
+    block's first counter (`_philox_random`). A helper submitted by this call
+    that has not started when the caller runs out of blocks is cancelled, so a
+    caller never waits behind another call's queued work. A block that raises makes every
     thread stop at its next claim, and helpers are joined before the result is
     read or an error is raised.
     """
@@ -176,16 +213,10 @@ def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed:
                 if arrays is None:
                     rows = min(block, n_paths)
                     arrays = (np.empty((rows, stride)), *np.empty((2, rows, n_steps)))
-                    bitgen = np.random.Philox(key=int(seed))
-                    draw = np.random.Generator(bitgen).random
-                    counter = 0
                 stop = min(start + block, n_paths)
                 uniforms, levels, hit = (a[: stop - start] for a in arrays)
-                # A thread's claims only move forward, and a block draws whole
-                # counter blocks, so the generator is advanced, never rebuilt.
-                bitgen.advance(start * stride // _WORDS_PER_BLOCK - counter)
-                draw(out=uniforms)
-                counter = stop * stride // _WORDS_PER_BLOCK
+                # a block's paths start on a whole counter block
+                _philox_random(seed, start * stride // _WORDS_PER_BLOCK)(out=uniforms)
                 ndtri(uniforms[:, :n_steps], out=levels)
                 np.cumsum(levels, axis=1, out=levels)
                 levels += d_over_sigma
@@ -273,14 +304,18 @@ def analytic_barrier_probability(
     return float(2.0 * ndtr((barrier - x0) / (sigma * np.sqrt(n_steps))))
 
 
+def _steps_to_close(dates, close_date: dt.date, step_mode: StepMode) -> list[int]:
+    """Simulation steps left in (d, close_date] for each date d of `dates`."""
+    if StepMode(step_mode) is StepMode.CALENDAR_DAYS:
+        return [max(0, (close_date - d).days) for d in dates]
+    begin = np.array(dates, dtype="datetime64[D]") + 1
+    # busday_count is negative when begin is after the end
+    return np.maximum(np.busday_count(begin, np.datetime64(close_date) + 1), 0).tolist()
+
+
 def remaining_steps(date: dt.date, close_date: dt.date, step_mode: StepMode) -> int:
     """Number of simulation steps left in (date, close_date]."""
-    if date >= close_date:
-        return 0
-    if StepMode(step_mode) is StepMode.CALENDAR_DAYS:
-        return (close_date - date).days
-    one = dt.timedelta(days=1)
-    return int(np.busday_count(date + one, close_date + one))
+    return _steps_to_close([date], close_date, step_mode)[0]
 
 
 def rolling_forecast(
@@ -293,22 +328,24 @@ def rolling_forecast(
     the remaining steps to close are counted under `params.step_mode`, and the
     crossing probability is simulated from the day-d close. Each day draws
     from a fresh substream derived from (seed, question_id, d), so a forecast
-    depends only on information available on that day.
+    depends only on information available on that day. The days are found by
+    bisect on `series.dates`, and their steps are counted in one call.
     """
-    days = forecast_days(question, resolve(series, question))
+    resolution = resolve(series, question)
+    # the observed days among forecast_days(question, resolution)
+    lo = bisect_left(series.dates, question.scoring_start)
+    hi = bisect_left(series.dates, resolution.resolve_date)
+    steps = _steps_to_close(series.dates[lo:hi], question.close_date, params.step_mode)
     sign = series.quote_direction.sign
     barrier = sign * barrier_rate(question, series.quote_direction)
     points = []
-    for d, rate in series.points:
-        if d not in days:
-            continue
+    for (d, rate), n_steps in zip(series.points[lo:hi], steps):
         vol = estimate_volatility(series, d)
-        steps = remaining_steps(d, question.close_date, params.step_mode)
         day_params = SimulationParams(
             seed=derive_seed(params.seed, question.question_id, d),
             n_paths=params.n_paths,
             step_mode=params.step_mode,
         )
-        p = simulate_barrier_probability(sign * rate, vol.sigma_h, barrier, steps, day_params)
+        p = simulate_barrier_probability(sign * rate, vol.sigma_h, barrier, n_steps, day_params)
         points.append((d, p))
     return ForecastSeries(question.question_id, Source.RANDOM_WALK, tuple(points))

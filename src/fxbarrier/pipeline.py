@@ -67,6 +67,13 @@ class QuestionSpec:
     history_start: dt.date | None = None
     non_floating: bool = False
 
+    def __post_init__(self) -> None:
+        # a truthy string such as "false" would silently drop the random walk
+        if not isinstance(self.non_floating, bool):
+            raise ValueError(
+                f"{self.question_id}: non_floating must be a bool, got {self.non_floating!r}"
+            )
+
     def to_question(self, series: PriceSeries) -> tuple[PriceSeries, Question]:
         """The question on `series`, and the series trimmed to history_start."""
         if self.history_start is not None:

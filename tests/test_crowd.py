@@ -124,6 +124,22 @@ class TestCommunityPrediction:
             params = ConsensusParams(recency_shape=shape)
             assert community_prediction(snap, params) == weighted_median_oracle(snap, shape)
 
+    def test_shapes_interleaved_with_gapped_ranks_match_oracle(self):
+        # crowd_series caches weights per (shape, newest rank) for ranks 1..N;
+        # community_prediction takes any ranks, and neither may mix up shapes
+        rng = np.random.default_rng(19)
+        shapes = [0.0, 0.35, 1.0, 2.5]
+        for trial in range(200):
+            size = int(rng.integers(1, 40))
+            ranks = rng.choice(np.arange(1, 400), size=size, replace=False)
+            snap = [
+                SnapshotEntry(f"f{i}", float(rng.uniform()), int(ranks[i]))
+                for i in range(size)
+            ]
+            shape = shapes[trial % len(shapes)]
+            params = ConsensusParams(recency_shape=shape)
+            assert community_prediction(snap, params) == weighted_median_oracle(snap, shape)
+
     def test_stays_within_snapshot_bounds(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -361,6 +377,24 @@ class TestSweepMatchesRescan:
     def test_latest_per_forecaster(self, records, day, hour):
         at = dt.datetime(2022, 6, day, hour, tzinfo=UTC)
         assert latest_per_forecaster(records, at) == rescan_latest(records, at)
+
+    def test_many_forecasters_and_shapes_match_rescan(self):
+        # enough forecasters and updates that ranks move on most records
+        rng = np.random.default_rng(23)
+        records = [
+            rec(
+                f"f{int(rng.integers(0, 30)):02d}",
+                ts(int(rng.integers(1, 9)), int(rng.integers(0, 24))),
+                float(rng.integers(0, 101)) / 100,
+            )
+            for _ in range(400)
+        ]
+        days = [D(2022, 6, d) for d in range(1, 10)]
+        question = make_question([D(2022, 6, 1), D(2022, 6, 9)])
+        for shape in [0.0, 1.0, 0.35, 0.0, 2.5, 1.0]:
+            params = ConsensusParams(recency_shape=shape)
+            series = crowd_series(records, question, days, params)
+            assert list(series.points) == rescan_series(records, question, days, params)
 
     def test_same_instant_duplicate_keeps_the_later_record(self):
         records = [rec("a", ts(2), 0.3), rec("b", ts(2), 0.5), rec("a", ts(2), 0.6)]

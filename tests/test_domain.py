@@ -141,6 +141,46 @@ class TestResolve:
         assert resolve(truncated, q) == res
 
 
+def scan_resolve(series: PriceSeries, question: Question):
+    """Reference resolution: scan every point of the series."""
+    sign = series.quote_direction.sign
+    barrier = sign * barrier_rate(question, series.quote_direction)
+    seen = False
+    for d, r in series.points:
+        if question.open_date <= d <= question.close_date:
+            seen = True
+            if d > question.open_date and sign * r <= barrier:
+                return 1, d
+    return (0, question.close_date) if seen else None
+
+
+class TestResolveWindow:
+    def test_bisected_window_matches_a_full_scan(self):
+        # open and close dates on and off trading days, before, inside and
+        # after the data, in both quote directions
+        rng = np.random.default_rng(31)
+        for seed in range(40):
+            direction = ["usd_per_ccy", "ccy_per_usd"][seed % 2]
+            series = random_walk_series(seed=seed, n=60, sigma=0.02, quote_direction=direction)
+            first = series.dates[0]
+            for _ in range(10):
+                open_date = first + dt.timedelta(days=int(rng.integers(-10, 85)))
+                close_date = open_date + dt.timedelta(days=int(rng.integers(1, 40)))
+                q = make_question(
+                    open_date=open_date,
+                    close_date=close_date,
+                    baseline_rate=series.rates[0],
+                    threshold_value=float(rng.uniform(0.005, 0.05)),
+                )
+                want = scan_resolve(series, q)
+                if want is None:
+                    with pytest.raises(ValueError, match="insufficient data"):
+                        resolve(series, q)
+                else:
+                    got = resolve(series, q)
+                    assert (got.outcome, got.resolve_date) == want
+
+
 class TestPriceSeriesCache:
     def test_cached_arrays_do_not_change_identity(self):
         a = random_walk_series(seed=5, n=30)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
 import statistics
@@ -29,6 +30,7 @@ from fxbarrier import (
     rolling_forecast,
     simulate_barrier_probability,
 )
+from fxbarrier.domain import forecast_days
 
 from conftest import random_walk_series, weekday_dates
 
@@ -94,6 +96,14 @@ class TestEstimateVolatility:
                 assert est.sigma_h == float(np.std(np.diff(np.asarray(prefix)), ddof=1))
                 assert est.n_obs == len(prefix) - 1
             day += dt.timedelta(days=1)
+
+    def test_long_prefixes_match_np_std(self):
+        # numpy sums more than 8 values in unrolled lanes and more than 128 in
+        # pairwise blocks, so long prefixes take other summation orders
+        series = random_walk_series(seed=41, n=1_500, sigma=0.01)
+        for k in range(3, len(series) + 1):
+            est = estimate_volatility(series, series.dates[k - 1])
+            assert est.sigma_h == float(np.std(series.rate_diffs[: k - 1], ddof=1)), k
 
 
     def test_threads_racing_to_fill_the_cache_agree(self):
@@ -364,6 +374,59 @@ class TestKernelBlocks:
             simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
 
 
+class TestRekeyedGenerator:
+    """Each kernel thread keeps one Philox generator and sets its key and
+    counter per block; every call must still match a fresh
+    `np.random.Philox(key=seed)` (the reference above)."""
+
+    CASES = [(2.5, 37, 300), (0.7, 5, 1_000), (4.0, 61, 64), (1.3, 1, 2_731)]
+
+    def check_interleaved(self):
+        rng = np.random.default_rng(20261019)
+        seeds = [int(s) for s in rng.integers(0, 2**64, size=4, dtype=np.uint64)]
+        seeds += [0, 2**64 - 1]
+        # every seed with every case, seeds changing on each call, twice over
+        for _ in range(2):
+            for d, n_steps, n_paths in self.CASES:
+                for seed in seeds:
+                    got = engine_mod._crossing_probability(d, n_steps, n_paths, seed)
+                    want = reference_crossing_probability(d, n_steps, n_paths, seed)
+                    assert got == want, (d, n_steps, n_paths, seed)
+
+    @pytest.mark.parametrize("helper_threads", [0], indirect=True)
+    def test_interleaved_seeds_on_one_thread(self, helper_threads):
+        self.check_interleaved()
+
+    @pytest.mark.parametrize("helper_threads", [3], indirect=True)
+    def test_interleaved_seeds_on_helper_threads(self, helper_threads, monkeypatch):
+        # a few paths per block, so every call hands blocks to the helpers
+        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 3)
+        self.check_interleaved()
+
+    def test_call_after_one_that_raised_mid_block(self, helper_threads, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 50)
+        calls = []
+
+        def ndtri_failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("third block")
+            return ndtri(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "ndtri", ndtri_failing_once)
+        with pytest.raises(FloatingPointError, match="^third block$"):
+            engine_mod._crossing_probability(2.0, 61, 20_000, 11)
+        # leave this thread's generator mid-stream: buffered words and a
+        # buffered 32-bit half, which a re-key must clear
+        bitgen = engine_mod._philox_random(12345, 999).__self__.bit_generator
+        np.random.Generator(bitgen).integers(2**32, dtype=np.uint32)
+        bitgen.random_raw(3)
+        assert bitgen.state["has_uint32"] == 1
+        for seed, n_paths in [(11, 20_000), (99, 7), (2**63 + 5, 4_001)]:
+            got = engine_mod._crossing_probability(2.0, 61, n_paths, seed)
+            assert got == reference_crossing_probability(2.0, 61, n_paths, seed), seed
+
+
 class TestRemainingSteps:
     def test_trading_days_skip_weekends(self):
         # Wed 2022-06-01 .. Wed 2022-06-08: Thu, Fri, Mon, Tue, Wed
@@ -377,6 +440,23 @@ class TestRemainingSteps:
 
     def test_past_close_is_zero(self):
         assert remaining_steps(D(2022, 6, 8), D(2022, 6, 1), StepMode.TRADING_DAYS) == 0
+
+    def test_many_dates_in_one_call_match_a_count_per_date(self):
+        def one_date(date, close_date, step_mode):
+            if date >= close_date:
+                return 0
+            if step_mode is StepMode.CALENDAR_DAYS:
+                return (close_date - date).days
+            one = dt.timedelta(days=1)
+            return int(np.busday_count(date + one, close_date + one))
+
+        dates = [D(2022, 5, 20) + dt.timedelta(days=i) for i in range(60)]
+        for close_date in [D(2022, 6, 17), D(2022, 6, 19)]:  # a Friday, a Sunday
+            for mode in StepMode:
+                got = engine_mod._steps_to_close(dates, close_date, mode)
+                assert got == [one_date(d, close_date, mode) for d in dates]
+                assert all(type(n) is int for n in got)
+        assert engine_mod._steps_to_close([], D(2022, 6, 17), StepMode.TRADING_DAYS) == []
 
 
 def make_fixture(n=60, seed=3, sigma=0.008):
@@ -413,6 +493,15 @@ class TestRollingForecast:
         forecast = rolling_forecast(series, question, SimulationParams(seed=1, n_paths=500))
         assert all(d < res.resolve_date for d in forecast.dates)
         assert forecast.dates[0] == question.open_date
+
+    def test_days_are_the_series_dates_among_forecast_days(self):
+        for seed in range(12):
+            series, question = make_fixture(seed=seed, sigma=0.02)
+            start = series.dates[10] + dt.timedelta(days=seed % 4)  # weekends too
+            question = dataclasses.replace(question, scoring_start_date=start)
+            days = forecast_days(question, resolve(series, question))
+            forecast = rolling_forecast(series, question, SimulationParams(seed=1, n_paths=50))
+            assert forecast.dates == tuple(d for d in series.dates if d in days)
 
     def test_scoring_start_trims_early_dates(self):
         series, question = make_fixture()

@@ -113,6 +113,20 @@ class TestConfig:
             with pytest.raises(ValueError, match=message):
                 load_config(path)
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, np.bool_(True)])
+    def test_library_non_floating_must_be_a_bool(self, value):
+        # "false" is truthy: accepted, it would drop the random walk silently
+        with pytest.raises(ValueError, match=r"^q: non_floating must be a bool, got "):
+            QuestionSpec(
+                question_id="q",
+                pair_id="FLTUSD",
+                open_date=dt.date(2022, 1, 3),
+                close_date=dt.date(2022, 3, 1),
+                threshold_kind=ThresholdKind.RELATIVE_DEPRECIATION,
+                threshold_value=0.05,
+                non_floating=value,
+            )
+
     def test_unknown_question_field_is_an_error(self, tmp_path):
         path = build_config(tmp_path)
         text = path.read_text()
