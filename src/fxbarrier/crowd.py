@@ -30,7 +30,11 @@ class ConsensusMethod(str, Enum):
 
 @dataclass(frozen=True)
 class CrowdRecord:
-    """One forecaster's timestamped probability submission on one question."""
+    """One forecaster's timestamped probability submission on one question.
+
+    `at` is stored in UTC: a naive time is taken to be UTC, and an aware one
+    is converted.
+    """
 
     question_id: str
     forecaster_id: str
@@ -38,6 +42,8 @@ class CrowdRecord:
     p: float
 
     def __post_init__(self) -> None:
+        at = self.at if self.at.tzinfo is not None else self.at.replace(tzinfo=dt.timezone.utc)
+        object.__setattr__(self, "at", at.astimezone(dt.timezone.utc))
         object.__setattr__(self, "p", float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(
@@ -224,10 +230,7 @@ def _parse_rfc3339(text: str) -> dt.datetime:
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
-    stamp = dt.datetime.fromisoformat(cleaned)
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=dt.timezone.utc)
-    return stamp.astimezone(dt.timezone.utc)
+    return dt.datetime.fromisoformat(cleaned)
 
 
 def load_crowd_csv(path: str | Path) -> list[CrowdRecord]:

@@ -15,7 +15,7 @@ import operator
 import os
 import threading
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,11 +45,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Threads that take a kernel call's unclaimed blocks alongside its caller; numpy
-# and scipy release the GIL in the kernel's array loops, so they run in
-# parallel. The executor starts its threads on first use, not at import.
-_HELPER_THREADS = _usable_cpus() - 1
-_HELPERS = ThreadPoolExecutor(_HELPER_THREADS, "fxbarrier-mc") if _HELPER_THREADS else None
+# One thread per usable CPU for `rolling_forecast`'s independent days; numpy and
+# scipy release the GIL in the kernel's array loops, so days run in parallel.
+# The executor starts its threads on first use, not at import.
+_POOL = ThreadPoolExecutor(_usable_cpus(), "fxbarrier-day") if _usable_cpus() > 1 else None
 # Each kernel thread's one Philox generator and its `random` (`_philox_random`).
 _THREAD_STATE = threading.local()
 
@@ -170,6 +169,17 @@ def _philox_random(seed: int, counter: int):
     return draw
 
 
+def _stride(n_steps: int) -> int:
+    """Counter words per path: `n_steps` rounded up to whole Philox blocks (at least one)."""
+    return max(1, -(-n_steps // _WORDS_PER_BLOCK)) * _WORDS_PER_BLOCK
+
+
+def _block_paths(n_steps: int) -> int:
+    """Paths per kernel block, so each of its three working arrays holds at most
+    `_BLOCK_BYTES` (one path when a path is longer than that)."""
+    return max(1, _BLOCK_BYTES // (8 * _stride(n_steps)))
+
+
 def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed: int) -> float:
     """Monte Carlo estimate of hitting a barrier `d_over_sigma` step-sigmas below start.
 
@@ -183,75 +193,38 @@ def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed:
     raw indicator. This keeps the estimator unbiased for the first-passage
     probability of the underlying continuous walk and tightens the variance.
 
-    The paths are cut into blocks of `_BLOCK_BYTES // (8 * stride)` paths (at
-    least one), so each of a thread's three working arrays stays within
-    `_BLOCK_BYTES`. The calling thread and up to `_HELPER_THREADS` threads of
-    the shared `_HELPERS` pool claim blocks from one iterator until none is
-    left; each block writes only its own slice of `survival`, and the mean is
-    taken over the whole array, so neither block size nor which thread filled
-    a block changes any bit. Each block sets its thread's one generator to the
-    block's first counter (`_philox_random`). A helper submitted by this call
-    that has not started when the caller runs out of blocks is cancelled, so a
-    caller never waits behind another call's queued work. A block that raises makes every
-    thread stop at its next claim, and helpers are joined before the result is
-    read or an error is raised.
+    The paths are filled on the calling thread in blocks of `_block_paths`
+    paths, reusing three working arrays; each block writes only its own slice
+    of `survival`, and the mean is taken over the whole array, so the block
+    size changes no bit. Each block sets the thread's one generator to the
+    block's first counter (`_philox_random`).
     """
-    stride = -(-n_steps // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
-    block = max(1, _BLOCK_BYTES // (8 * stride))
+    stride = _stride(n_steps)
+    block = _block_paths(n_steps)
+    rows = min(block, n_paths)
+    arrays = (np.empty((rows, stride)), *np.empty((2, rows, n_steps)))
     survival = np.empty(n_paths, dtype=np.float64)
-    starts = iter(range(0, n_paths, block))
-    claim = threading.Lock()
-
-    def fill_blocks() -> None:
-        arrays = None
-        try:
-            while True:
-                with claim:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                if arrays is None:
-                    rows = min(block, n_paths)
-                    arrays = (np.empty((rows, stride)), *np.empty((2, rows, n_steps)))
-                stop = min(start + block, n_paths)
-                uniforms, levels, hit = (a[: stop - start] for a in arrays)
-                # a block's paths start on a whole counter block
-                _philox_random(seed, start * stride // _WORDS_PER_BLOCK)(out=uniforms)
-                ndtri(uniforms[:, :n_steps], out=levels)
-                np.cumsum(levels, axis=1, out=levels)
-                levels += d_over_sigma
-                np.maximum(levels, 0.0, out=levels)
-                # (-2a)c per step, a being the previous level: taken along the
-                # flattened block (contiguous, so one loop, not one per path),
-                # then column 0, whose previous level is d, is overwritten.
-                flat, flat_hit = levels.reshape(-1), hit.reshape(-1)
-                np.multiply(flat[:-1], -2.0, out=flat_hit[1:])
-                np.multiply(flat_hit[1:], flat[1:], out=flat_hit[1:])
-                np.multiply(-2.0 * d_over_sigma, levels[:, 0], out=hit[:, 0])
-                np.exp(hit, out=hit)
-                np.subtract(1.0, hit, out=hit)
-                np.prod(hit, axis=1, out=survival[start:stop])
-        except BaseException:
-            with claim:
-                for _ in starts:  # the other threads stop at their next claim
-                    pass
-            raise
-
-    helpers = []
-    if _HELPERS is not None and n_paths > block:
-        n_helpers = min(_HELPER_THREADS, -(-n_paths // block) - 1)
-        helpers = [_HELPERS.submit(fill_blocks) for _ in range(n_helpers)]
-    try:
-        fill_blocks()
-    finally:
-        for future in helpers:
-            future.cancel()
-        if helpers:
-            wait(helpers)
-    for future in helpers:
-        if not future.cancelled():
-            future.result()
-    return 1.0 - float(survival.mean())
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
+        uniforms, levels, hit = (a[: stop - start] for a in arrays)
+        # a block's paths start on a whole counter block
+        _philox_random(seed, start * stride // _WORDS_PER_BLOCK)(out=uniforms)
+        ndtri(uniforms[:, :n_steps], out=levels)
+        np.cumsum(levels, axis=1, out=levels)
+        levels += d_over_sigma
+        np.maximum(levels, 0.0, out=levels)
+        # (-2a)c per step, a being the previous level: taken along the
+        # flattened block (contiguous, so one loop, not one per path),
+        # then column 0, whose previous level is d, is overwritten.
+        flat, flat_hit = levels.reshape(-1), hit.reshape(-1)
+        np.multiply(flat[:-1], -2.0, out=flat_hit[1:])
+        np.multiply(flat_hit[1:], flat[1:], out=flat_hit[1:])
+        np.multiply(-2.0 * d_over_sigma, levels[:, 0], out=hit[:, 0])
+        np.exp(hit, out=hit)
+        np.subtract(1.0, hit, out=hit)
+        np.prod(hit, axis=1, out=survival[start:stop])
+    # survival.mean()'s pairwise sum and division, without its Python wrapper
+    return 1.0 - float(np.add.reduce(survival) / n_paths)
 
 
 def simulate_barrier_probability(
@@ -330,6 +303,13 @@ def rolling_forecast(
     from a fresh substream derived from (seed, question_id, d), so a forecast
     depends only on information available on that day. The days are found by
     bisect on `series.dates`, and their steps are counted in one call.
+
+    Days are independent, so when a day's simulation is more than one kernel
+    block (`n_paths > _block_paths` at the longest day), they run on the
+    shared `_POOL`; `Executor.map` keeps their order, raises the earliest
+    failing day's error and cancels the days not yet started. Otherwise, or
+    with one usable CPU, they run on the calling thread. No bit depends on
+    which thread runs which day.
     """
     resolution = resolve(series, question)
     # the observed days among forecast_days(question, resolution)
@@ -338,8 +318,9 @@ def rolling_forecast(
     steps = _steps_to_close(series.dates[lo:hi], question.close_date, params.step_mode)
     sign = series.quote_direction.sign
     barrier = sign * barrier_rate(question, series.quote_direction)
-    points = []
-    for (d, rate), n_steps in zip(series.points[lo:hi], steps):
+
+    def forecast_day(point: tuple[dt.date, float], n_steps: int) -> tuple[dt.date, float]:
+        d, rate = point
         vol = estimate_volatility(series, d)
         day_params = SimulationParams(
             seed=derive_seed(params.seed, question.question_id, d),
@@ -347,5 +328,8 @@ def rolling_forecast(
             step_mode=params.step_mode,
         )
         p = simulate_barrier_probability(sign * rate, vol.sigma_h, barrier, n_steps, day_params)
-        points.append((d, p))
-    return ForecastSeries(question.question_id, Source.RANDOM_WALK, tuple(points))
+        return d, p
+
+    pooled = _POOL is not None and params.n_paths > _block_paths(max(steps, default=0))
+    days = (_POOL.map if pooled else map)(forecast_day, series.points[lo:hi], steps)
+    return ForecastSeries(question.question_id, Source.RANDOM_WALK, tuple(days))

@@ -408,6 +408,32 @@ class TestSweepMatchesRescan:
         ]
 
 
+
+class TestRecordTimes:
+    def test_naive_times_are_utc(self):
+        # 23:30 on Jun 1 counts for Jun 1's end of day, as it does in UTC
+        stamps = [
+            dt.datetime(2022, 6, 1, 9),
+            dt.datetime(2022, 6, 1, 23, 30),
+            dt.datetime(2022, 6, 3, 0, 15),
+        ]
+        naive = [rec(fid, at, p) for fid, at, p in zip("aba", stamps, (0.3, 0.6, 0.2))]
+        aware = [rec(r.forecaster_id, at.replace(tzinfo=UTC), r.p) for r, at in zip(naive, stamps)]
+        assert naive == aware
+        dates = [D(2022, 6, d) for d in (1, 2, 3)]
+        question = make_question(dates)
+        for params in (ConsensusParams(), ConsensusParams(method="logit_combine")):
+            got = crowd_series(naive, question, dates, params)
+            assert got == crowd_series(aware, question, dates, params)
+        for cutoff in (ts(1, 23), ts(2), ts(3, 23)):
+            assert latest_per_forecaster(naive, cutoff) == latest_per_forecaster(aware, cutoff)
+
+    def test_aware_times_are_converted_to_utc(self):
+        tokyo = dt.timezone(dt.timedelta(hours=9))
+        r = rec("a", dt.datetime(2022, 6, 2, 8, tzinfo=tokyo), 0.4)
+        assert r.at.tzinfo is UTC
+        assert (r.at.day, r.at.hour) == (1, 23)
+
 class TestLoadCrowdCsv:
     def test_rows_sorted_by_timestamp(self, tmp_path):
         path = write_crowd_csv(

@@ -286,25 +286,55 @@ def reference_crossing_probability(d_over_sigma, n_steps, n_paths, seed):
     return 1.0 - float(survival.mean())
 
 
-@pytest.fixture(params=[0, 3], ids=["no_helpers", "3_helpers"])
-def helper_threads(request, monkeypatch):
-    """Run the kernel with no helper threads, or with 3 whatever the CPU count.
+class KernelThreads:
+    """Runs kernel calls on the test's thread, or on `n` threads at once."""
 
-    With helpers, threads switch far more often than by default, so claims
-    from the caller and the helpers interleave.
+    def __init__(self, n):
+        self.n = n
+        self.pool = ThreadPoolExecutor(n) if n else None
+
+    def map(self, fn, *iterables):
+        return list(self.pool.map(fn, *iterables) if self.pool else map(fn, *iterables))
+
+    def each(self, fn):
+        """Call `fn` once on every thread (held at a barrier until all have it)."""
+        if self.pool is None:
+            fn()
+            return
+        barrier = threading.Barrier(self.n)
+
+        def held():
+            barrier.wait(timeout=30)
+            fn()
+
+        for future in [self.pool.submit(held) for _ in range(self.n)]:
+            future.result(timeout=60)
+
+
+@pytest.fixture(params=[0, 3], ids=["no_helpers", "3_helpers"])
+def helper_threads(request):
+    """Kernel calls on the test's thread only, or on 3 helper threads at once
+    whatever the CPU count. Each thread re-keys its own generator, so calls
+    with interleaved seeds must not see each other. With helpers, threads
+    switch far more often than by default, so the calls interleave.
     """
-    pool = ThreadPoolExecutor(request.param) if request.param else None
-    monkeypatch.setattr(engine_mod, "_HELPERS", pool)
-    monkeypatch.setattr(engine_mod, "_HELPER_THREADS", request.param)
+    threads = KernelThreads(request.param)
     old = sys.getswitchinterval()
-    if pool is not None:
+    if threads.pool is not None:
         sys.setswitchinterval(1e-6)
     try:
-        yield request.param
+        yield threads
     finally:
         sys.setswitchinterval(old)
-        if pool is not None:
-            pool.shutdown()
+        if threads.pool is not None:
+            threads.pool.shutdown()
+
+
+def check_against_reference(threads, cases):
+    """Every (d, n_steps, n_paths, seed) case, run on `threads`, matches the reference."""
+    got = threads.map(engine_mod._crossing_probability, *zip(*cases))
+    for case, p in zip(cases, got):
+        assert p == reference_crossing_probability(*case), case
 
 
 class TestKernelBlocks:
@@ -318,60 +348,57 @@ class TestKernelBlocks:
         rng = np.random.default_rng(20261018)
         steps = [1, 2, 3, 5, 7, 37, 61, 129]
         paths = [1, 2, 6, 7, 8, 999, 2_731]
+        cases = []
         for n_steps in steps:
             for n_paths in paths if block_bytes != 8 else paths[:5]:
                 d = float(rng.uniform(0.05, 3.0) * math.sqrt(n_steps))
                 seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-                got = engine_mod._crossing_probability(d, n_steps, n_paths, seed)
-                assert got == reference_crossing_probability(d, n_steps, n_paths, seed), (
-                    d, n_steps, n_paths, seed,
-                )
+                cases.append((d, n_steps, n_paths, seed))
+        check_against_reference(helper_threads, cases)
 
     def test_public_entry_point_matches_reference(self, helper_threads):
         # 60 steps x 20k paths is many default-size blocks
-        got = simulate_barrier_probability(1.0, 0.01, 0.9, 60, PARAMS)
-        assert got == reference_crossing_probability(0.1 / 0.01, 60, PARAMS.n_paths, PARAMS.seed)
+        seeds = [PARAMS.seed + k for k in range(3)]
+        got = helper_threads.map(
+            lambda seed: simulate_barrier_probability(
+                1.0, 0.01, 0.9, 60, dataclasses.replace(PARAMS, seed=seed)
+            ),
+            seeds,
+        )
+        for seed, p in zip(seeds, got):
+            # the kernel sees (x0 - barrier) / sigma, a few ulp from 10.0
+            assert p == reference_crossing_probability((1.0 - 0.9) / 0.01, 60, PARAMS.n_paths, seed)
 
     def test_failing_block_propagates_and_leaves_no_writer(self, helper_threads, monkeypatch):
         monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 50)
         before = simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
+        caller = threading.current_thread()
         started, done = [], []
-        lock = threading.Lock()
 
-        def failing_ndtri(*args, **kwargs):
-            with lock:
+        def ndtri_failing_on_the_caller(*args, **kwargs):
+            if threading.current_thread() is caller:
                 started.append(None)
                 if len(started) == 2:
                     raise FloatingPointError("second block")
-            time.sleep(0.01)  # other threads are mid-block when one fails
+            time.sleep(0.001)  # the other threads are mid-call when one fails
             result = ndtri(*args, **kwargs)
-            done.append(None)
+            if threading.current_thread() is caller:
+                done.append(None)
             return result
 
-        monkeypatch.setattr(engine_mod, "ndtri", failing_ndtri)
+        monkeypatch.setattr(engine_mod, "ndtri", ndtri_failing_on_the_caller)
+        cases = [(2.0, 61, 3_001, seed) for seed in (5, 2**64 - 1, 6)]
+        others = helper_threads.pool.map(
+            engine_mod._crossing_probability, *zip(*cases)
+        ) if helper_threads.pool else ()
         with pytest.raises(FloatingPointError, match="^second block$"):
             simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
-        finished = len(done)
-        # of 400 blocks, each other thread finishes at most the one it holds
-        assert len(started) <= 2 + helper_threads
+        # of 400 blocks, the call ran one and stopped at the one that raised
+        assert (len(started), len(done)) == (2, 1)
+        for case, p in zip(cases, others):
+            assert p == reference_crossing_probability(*case), case
         monkeypatch.setattr(engine_mod, "ndtri", ndtri)
         assert simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS) == before
-        assert len(done) == finished  # no thread of the failed call was still running
-
-    @pytest.mark.parametrize("helper_threads", [3], indirect=True)
-    def test_error_in_a_helper_reaches_the_caller(self, helper_threads, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 50)
-        caller = threading.current_thread()
-
-        def ndtri_failing_off_the_caller(*args, **kwargs):
-            if threading.current_thread() is not caller:
-                raise FloatingPointError("helper block")
-            time.sleep(0.001)  # leave blocks for the helpers to claim
-            return ndtri(*args, **kwargs)
-
-        monkeypatch.setattr(engine_mod, "ndtri", ndtri_failing_off_the_caller)
-        with pytest.raises(FloatingPointError, match="^helper block$"):
-            simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
 
 
 class TestRekeyedGenerator:
@@ -381,50 +408,48 @@ class TestRekeyedGenerator:
 
     CASES = [(2.5, 37, 300), (0.7, 5, 1_000), (4.0, 61, 64), (1.3, 1, 2_731)]
 
-    def check_interleaved(self):
+    def check_interleaved(self, threads):
         rng = np.random.default_rng(20261019)
         seeds = [int(s) for s in rng.integers(0, 2**64, size=4, dtype=np.uint64)]
         seeds += [0, 2**64 - 1]
         # every seed with every case, seeds changing on each call, twice over
-        for _ in range(2):
-            for d, n_steps, n_paths in self.CASES:
-                for seed in seeds:
-                    got = engine_mod._crossing_probability(d, n_steps, n_paths, seed)
-                    want = reference_crossing_probability(d, n_steps, n_paths, seed)
-                    assert got == want, (d, n_steps, n_paths, seed)
+        cases = [(*case, seed) for case in self.CASES for seed in seeds]
+        check_against_reference(threads, cases * 2)
 
     @pytest.mark.parametrize("helper_threads", [0], indirect=True)
     def test_interleaved_seeds_on_one_thread(self, helper_threads):
-        self.check_interleaved()
+        self.check_interleaved(helper_threads)
 
     @pytest.mark.parametrize("helper_threads", [3], indirect=True)
     def test_interleaved_seeds_on_helper_threads(self, helper_threads, monkeypatch):
-        # a few paths per block, so every call hands blocks to the helpers
+        # a few paths per block, so each call re-keys its thread's generator often
         monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 3)
-        self.check_interleaved()
+        self.check_interleaved(helper_threads)
 
     def test_call_after_one_that_raised_mid_block(self, helper_threads, monkeypatch):
         monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 50)
-        calls = []
+        calls = threading.local()
 
         def ndtri_failing_once(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
+            calls.n = getattr(calls, "n", 0) + 1
+            if calls.n == 3:
                 raise FloatingPointError("third block")
             return ndtri(*args, **kwargs)
 
+        def fail_then_leave_the_generator_mid_stream():
+            with pytest.raises(FloatingPointError, match="^third block$"):
+                engine_mod._crossing_probability(2.0, 61, 20_000, 11)
+            # buffered words and a buffered 32-bit half, which a re-key must clear
+            bitgen = engine_mod._philox_random(12345, 999).__self__.bit_generator
+            np.random.Generator(bitgen).integers(2**32, dtype=np.uint32)
+            bitgen.random_raw(3)
+            assert bitgen.state["has_uint32"] == 1
+
         monkeypatch.setattr(engine_mod, "ndtri", ndtri_failing_once)
-        with pytest.raises(FloatingPointError, match="^third block$"):
-            engine_mod._crossing_probability(2.0, 61, 20_000, 11)
-        # leave this thread's generator mid-stream: buffered words and a
-        # buffered 32-bit half, which a re-key must clear
-        bitgen = engine_mod._philox_random(12345, 999).__self__.bit_generator
-        np.random.Generator(bitgen).integers(2**32, dtype=np.uint32)
-        bitgen.random_raw(3)
-        assert bitgen.state["has_uint32"] == 1
-        for seed, n_paths in [(11, 20_000), (99, 7), (2**63 + 5, 4_001)]:
-            got = engine_mod._crossing_probability(2.0, 61, n_paths, seed)
-            assert got == reference_crossing_probability(2.0, 61, n_paths, seed), seed
+        helper_threads.each(fail_then_leave_the_generator_mid_stream)
+        monkeypatch.setattr(engine_mod, "ndtri", ndtri)
+        cases = [(2.0, 61, 20_000, 11), (2.0, 61, 7, 99), (2.0, 61, 4_001, 2**63 + 5)]
+        check_against_reference(helper_threads, cases)
 
 
 class TestRemainingSteps:
@@ -467,6 +492,23 @@ def make_fixture(n=60, seed=3, sigma=0.008):
         open_date=series.dates[10],
         close_date=series.dates[-1],
         baseline_rate=series.rates[10],
+        threshold_kind="relative_depreciation",
+        threshold_value=0.05,
+    )
+    return series, question
+
+
+def make_ccy_per_usd_fixture(n=80):
+    rng = np.random.default_rng(12)
+    dates = weekday_dates(D(2022, 1, 3), n)
+    rates = 130.0 + np.cumsum(rng.normal(0.0, 0.9, n))
+    series = PriceSeries("JPYUSD", tuple(zip(dates, rates.tolist())), "ccy_per_usd")
+    question = Question(
+        question_id="q-jpy",
+        pair_id="JPYUSD",
+        open_date=dates[10],
+        close_date=dates[-1],
+        baseline_rate=float(rates[10]),
         threshold_kind="relative_depreciation",
         threshold_value=0.05,
     )
@@ -599,19 +641,7 @@ class TestRollingForecast:
         assert len(forecast) == 0
 
     def test_ccy_per_usd_tracks_mirrored_analytic(self):
-        rng = np.random.default_rng(12)
-        dates = weekday_dates(D(2022, 1, 3), 50)
-        rates = 130.0 + np.cumsum(rng.normal(0.0, 0.9, 50))
-        series = PriceSeries("JPYUSD", tuple(zip(dates, rates.tolist())), "ccy_per_usd")
-        question = Question(
-            question_id="q-jpy",
-            pair_id="JPYUSD",
-            open_date=dates[10],
-            close_date=dates[-1],
-            baseline_rate=float(rates[10]),
-            threshold_kind="relative_depreciation",
-            threshold_value=0.05,
-        )
+        series, question = make_ccy_per_usd_fixture(n=50)
         params = SimulationParams(seed=44, n_paths=8_000)
         forecast = rolling_forecast(series, question, params)
         assert len(forecast)
@@ -621,3 +651,85 @@ class TestRollingForecast:
             steps = remaining_steps(d, question.close_date, params.step_mode)
             ana = analytic_barrier_probability(-series.rate_on(d), vol.sigma_h, -barrier, steps)
             assert abs(p - ana) <= 0.02, d
+
+
+@pytest.fixture
+def day_pool(monkeypatch):
+    """`_POOL` as 3 threads whatever the CPU count, switching far more often
+    than by default so that days interleave."""
+    pool = ThreadPoolExecutor(3)
+    monkeypatch.setattr(engine_mod, "_POOL", pool)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield pool
+    finally:
+        sys.setswitchinterval(old)
+        pool.shutdown()
+
+
+class TestDayPool:
+    # 80 dates put 69 steps on the first day: 455 paths a block by default, and
+    # 10 paths with the shrunk block, so 100 paths are then pooled too
+    @pytest.mark.parametrize(
+        "n_paths, block_bytes", [(100, None), (100, 8 * 72 * 10), (2_000, None)]
+    )
+    @pytest.mark.parametrize("fixture", [make_fixture, make_ccy_per_usd_fixture])
+    def test_points_match_the_calling_thread(
+        self, day_pool, fixture, n_paths, block_bytes, monkeypatch
+    ):
+        if block_bytes is not None:
+            monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", block_bytes)
+        series, question = fixture(n=80)
+        params = SimulationParams(seed=31, n_paths=n_paths)
+        pooled = rolling_forecast(series, question, params)
+        monkeypatch.setattr(engine_mod, "_POOL", None)
+        alone = rolling_forecast(series, question, params)
+        assert len(alone) > 5
+        assert remaining_steps(alone.dates[0], question.close_date, params.step_mode) >= 60
+        assert pooled.points == alone.points
+
+    def test_earliest_failing_day_raises_and_the_next_call_is_unchanged(
+        self, day_pool, monkeypatch
+    ):
+        series, question = make_fixture(n=80)
+        params = SimulationParams(seed=31, n_paths=2_000)
+        before = rolling_forecast(series, question, params)
+        first, second = before.dates[3], before.dates[7]
+        caller = threading.current_thread()
+        failed_on = []
+
+        def estimate_failing_on_two_days(s, d):
+            if d in (first, second):
+                failed_on.append(threading.current_thread())
+                if d == first:
+                    time.sleep(0.05)  # the later day fails first
+                raise FloatingPointError(f"day {d}")
+            return estimate_volatility(s, d)
+
+        monkeypatch.setattr(engine_mod, "estimate_volatility", estimate_failing_on_two_days)
+        with pytest.raises(FloatingPointError, match=f"^day {first}$"):
+            rolling_forecast(series, question, params)
+        assert failed_on and caller not in failed_on
+        monkeypatch.setattr(engine_mod, "estimate_volatility", estimate_volatility)
+        assert rolling_forecast(series, question, params) == before
+
+    def test_pool_is_used_exactly_when_a_day_is_more_than_one_block(self, monkeypatch):
+        class CountingExecutor:
+            calls = 0
+
+            def map(self, fn, *iterables):
+                self.calls += 1
+                return map(fn, *iterables)
+
+        series, question = make_fixture(n=80)
+        first = rolling_forecast(series, question, SimulationParams(seed=1, n_paths=1)).dates[0]
+        block = engine_mod._block_paths(
+            remaining_steps(first, question.close_date, StepMode.TRADING_DAYS)
+        )
+        assert block == 455
+        for n_paths in [1, block - 1, block, block + 1]:
+            pool = CountingExecutor()
+            monkeypatch.setattr(engine_mod, "_POOL", pool)
+            rolling_forecast(series, question, SimulationParams(seed=1, n_paths=n_paths))
+            assert pool.calls == (n_paths > block), n_paths

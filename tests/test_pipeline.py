@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime as dt
 import json
@@ -394,6 +395,26 @@ class TestRunPipeline:
         assert len(lines) == 3
         assert lines[1].startswith("q-flt,")
         assert lines[2].startswith("q-peg,,,")
+
+    def test_error_with_quote_and_newline_reads_back_as_one_row(self, tmp_path):
+        # resolve's "insufficient data" error holds the pair id as it is
+        pair = 'PEG"\nUSD'
+        path = build_config(tmp_path, with_crowd=False)
+        raw = json.loads(path.read_text())
+        raw["price_files"][1]["pair_id"] = pair
+        raw["questions"][1].update(
+            pair_id=pair, open_date="2030-01-01", close_date="2030-12-31", baseline_rate=3.75
+        )
+        path.write_text(json.dumps(raw))
+        config = load_config(path)
+        emit_report(run_pipeline(config), config.output_dir)
+        with open(config.output_dir / "resolutions.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert [row[0] for row in rows] == ["question_id", "q-flt", "q-peg"]
+        assert rows[2] == [
+            "q-peg", "", "",
+            "insufficient data: PEG'\nUSD has no observations in [2030-01-01, 2030-12-31]",
+        ]
 
     def test_mean_curve_counts_open_questions(self, tmp_path):
         config = load_config(build_config(tmp_path))
