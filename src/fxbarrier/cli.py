@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--step-mode", choices=[m.value for m in StepMode], default=None)
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="accepted for old scripts; no effect")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("score", help="score an external forecast CSV against prices")

@@ -28,6 +28,11 @@ class ConsensusMethod(str, Enum):
     LOGIT_COMBINE = "logit_combine"
 
 
+def _as_utc(at: dt.datetime) -> dt.datetime:
+    """`at` in UTC: a naive time is taken to be UTC, and an aware one is converted."""
+    return at.replace(tzinfo=at.tzinfo or dt.timezone.utc).astimezone(dt.timezone.utc)
+
+
 @dataclass(frozen=True)
 class CrowdRecord:
     """One forecaster's timestamped probability submission on one question.
@@ -42,8 +47,7 @@ class CrowdRecord:
     p: float
 
     def __post_init__(self) -> None:
-        at = self.at if self.at.tzinfo is not None else self.at.replace(tzinfo=dt.timezone.utc)
-        object.__setattr__(self, "at", at.astimezone(dt.timezone.utc))
+        object.__setattr__(self, "at", _as_utc(self.at))
         object.__setattr__(self, "p", float(self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(
@@ -113,7 +117,7 @@ def _snapshots(
 def latest_per_forecaster(
     records: Iterable[CrowdRecord], at: dt.datetime
 ) -> list[SnapshotEntry]:
-    """Each forecaster's most recent probability at or before `at`.
+    """Each forecaster's most recent probability at or before `at` (naive is UTC).
 
     age_rank runs 1..N from the oldest to the newest latest-submission time,
     so higher ranks are fresher opinions. Ties on time break by forecaster id;
@@ -122,7 +126,7 @@ def latest_per_forecaster(
     single-cutoff case of the sweep `crowd_series` runs: O(R log R + R N) for
     R records of N forecasters.
     """
-    ranked = next(_snapshots(records, [at]))
+    ranked = next(_snapshots(records, [_as_utc(at)]))
     return [SnapshotEntry(fid, p, rank) for rank, (_, fid, p) in enumerate(ranked, start=1)]
 
 

@@ -1,9 +1,9 @@
 """End-to-end comparison pipeline: ingest, forecast, score, calibrate, emit.
 
 The run configuration is a single declarative JSON file; all paths inside it
-resolve relative to the file's directory. Questions are processed
-independently (optionally in parallel) and merged in question-id order, so
-report files are byte-identical across reruns and worker counts.
+resolve relative to the file's directory. Questions run in question-id order
+on the calling thread (only the engine's day pool uses threads), so report
+files are byte-identical across reruns and pool sizes, whatever `workers` says.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import re
 import reprlib
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -105,8 +104,8 @@ class QuestionSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A whole run. `workers` is the number of question threads, an integer
-    under the same rule as `SimulationParams.n_paths`."""
+    """A whole run. `workers` has no effect; it is still checked (an integer
+    of at least 1, as `SimulationParams.n_paths` is) so existing configs load."""
 
     price_files: tuple[PriceFileSpec, ...]
     questions: tuple[QuestionSpec, ...]
@@ -299,9 +298,9 @@ def _run_question(
 def run_pipeline(config: RunConfig) -> RunReport:
     """Resolve, forecast, score, and calibrate every configured question.
 
-    Per-question failures are recorded in the report rather than raised,
-    unless every question fails. Results do not depend on the order of
-    questions or price files in the config, nor on the worker count.
+    Questions run in id order on the calling thread; a failure is recorded
+    in the report, not raised, unless every question fails. Results depend
+    on neither the config's order of questions or price files nor `workers`.
     """
     warnings: list[str] = []
     prices: dict[str, PriceSeries] = {}
@@ -335,24 +334,19 @@ def run_pipeline(config: RunConfig) -> RunReport:
         if stray := sorted(qids - configured):
             warnings.append(f"{name} file {file}: no configured question for ids {stray}")
 
-    specs = sorted(config.questions, key=lambda q: q.question_id)
-
-    def job(spec: QuestionSpec):
+    results: dict[str, QuestionResult] = {}
+    errors: dict[str, str] = {}
+    for spec in sorted(config.questions, key=lambda q: q.question_id):
         if spec.pair_id in price_errors:
-            return None, price_errors[spec.pair_id]
+            errors[spec.question_id] = price_errors[spec.pair_id]
+            continue
         try:
             crowd = crowd_by_question.get(spec.question_id, [])
-            return _run_question(
+            results[spec.question_id] = _run_question(
                 spec, prices, crowd, external, config.sim, config.consensus
-            ), None
+            )
         except ValueError as exc:
-            return None, str(exc)
-
-    # pool.map yields in `specs` order, which is question-id order
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list(zip(specs, pool.map(job, specs)))
-    results = {s.question_id: r for s, (r, _) in outcomes if r is not None}
-    errors = {s.question_id: e for s, (r, e) in outcomes if r is None}
+            errors[spec.question_id] = str(exc)
     if not results:
         details = "; ".join(f"{qid}: {msg}" for qid, msg in sorted(errors.items()))
         raise ValueError(f"all questions failed: {details}")

@@ -427,6 +427,9 @@ class TestRecordTimes:
             assert got == crowd_series(aware, question, dates, params)
         for cutoff in (ts(1, 23), ts(2), ts(3, 23)):
             assert latest_per_forecaster(naive, cutoff) == latest_per_forecaster(aware, cutoff)
+            # a naive cutoff is UTC as well
+            naive_cutoff = cutoff.replace(tzinfo=None)
+            assert latest_per_forecaster(naive, naive_cutoff) == latest_per_forecaster(aware, cutoff)
 
     def test_aware_times_are_converted_to_utc(self):
         tokyo = dt.timezone(dt.timedelta(hours=9))

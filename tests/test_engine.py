@@ -107,8 +107,8 @@ class TestEstimateVolatility:
 
 
     def test_threads_racing_to_fill_the_cache_agree(self):
-        # Question threads share one PriceSeries, so several may make the
-        # first call on it at once.
+        # The day pool's threads share one question's PriceSeries, so several
+        # may make the first call on it at once.
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import datetime as dt
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from fxbarrier import (
     parse_forecast_csv,
     run_pipeline,
 )
+from fxbarrier import engine, pipeline
 
 from conftest import build_config, random_walk_series
 
@@ -226,11 +229,60 @@ class TestRunPipeline:
         b = run_to_dir(path, tmp_path / "out_b")
         assert a == b
 
-    def test_parallelism_does_not_change_bytes(self, tmp_path):
+    def test_parallelism_does_not_change_bytes(self, tmp_path, monkeypatch):
         path = build_config(tmp_path)
+        config = load_config(path)
+        # the longest day is more than one kernel block, so its days go to a pool
+        longest = max(
+            engine.remaining_steps(q.open_date, q.close_date, config.sim.step_mode)
+            for q in config.questions
+            if not q.non_floating
+        )
+        assert config.sim.n_paths > engine._block_paths(longest)
         serial = run_to_dir(path, tmp_path / "out_serial", workers=1)
         threaded = run_to_dir(path, tmp_path / "out_threaded", workers=4)
         assert serial == threaded
+
+        threads = set()
+        simulate = engine.simulate_barrier_probability
+
+        def recording(*args):
+            threads.add(threading.current_thread().name)
+            return simulate(*args)
+
+        monkeypatch.setattr(engine, "simulate_barrier_probability", recording)
+        monkeypatch.setattr(engine, "_POOL", None)
+        inline = run_to_dir(path, tmp_path / "out_inline")
+        assert threads == {threading.current_thread().name}
+        with ThreadPoolExecutor(3, "test-day") as pool:
+            monkeypatch.setattr(engine, "_POOL", pool)
+            pooled = run_to_dir(path, tmp_path / "out_pooled")
+        assert {t for t in threads if t.startswith("test-day")}
+        assert inline == pooled == serial
+
+    def test_questions_run_in_id_order_on_the_calling_thread(self, tmp_path, monkeypatch):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text())
+        # q-mid sorts between the other two questions, and its price file is bad
+        (tmp_path / "prices" / "bad.csv").write_text("date,rate\n2022-01-03,abc\n")
+        raw["price_files"].append({"pair_id": "BADUSD", "path": "prices/bad.csv"})
+        flt, peg = raw["questions"]
+        raw["questions"] = [peg, dict(flt, question_id="q-mid", pair_id="BADUSD"), flt]
+        path.write_text(json.dumps(raw))
+        calls = []
+        run_question = pipeline._run_question
+
+        def recording(spec, *args):
+            calls.append((spec.question_id, threading.current_thread()))
+            return run_question(spec, *args)
+
+        monkeypatch.setattr(pipeline, "_run_question", recording)
+        report = run_pipeline(load_config(path, workers=3))
+        me = threading.current_thread()
+        assert calls == [("q-flt", me), ("q-peg", me)]
+        assert list(report.results) == ["q-flt", "q-peg"]
+        assert list(report.errors) == ["q-mid"]
+        assert "bad.csv" in report.errors["q-mid"]
 
     def test_config_order_does_not_change_bytes(self, tmp_path_factory):
         dir_a = tmp_path_factory.mktemp("order_a")
