@@ -1,8 +1,9 @@
 """Barrier-event exchange rate forecasting and forecast evaluation.
 
 Forecasts the probability that a currency crosses a depreciation barrier
-before a deadline using a rolling-volatility random walk (Monte Carlo with an
-analytic cross-check), scores forecasts with the Brier rule, aggregates
+before a deadline using a rolling-volatility random walk (the closed-form
+first-passage probability, with a seeded Monte Carlo estimator of the same
+number as a reference), scores forecasts with the Brier rule, aggregates
 individual crowd forecasts, and calibrates one method against another by OLS.
 """
 
@@ -36,7 +37,6 @@ from .engine import (
     StepMode,
     VolatilityEstimate,
     analytic_barrier_probability,
-    derive_seed,
     estimate_volatility,
     remaining_steps,
     rolling_forecast,
@@ -86,7 +86,6 @@ __all__ = [
     "combine_logit",
     "community_prediction",
     "crowd_series",
-    "derive_seed",
     "emit_report",
     "estimate_volatility",
     "ingest_price_csv",

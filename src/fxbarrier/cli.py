@@ -137,17 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fxbarrier",
         description=(
-            "Forecast barrier-crossing probabilities for exchange rates with a "
-            "random-walk Monte Carlo engine, score forecasts with the Brier "
-            "rule, and run the full comparison pipeline."
+            "Forecast barrier-crossing probabilities for exchange rates with the "
+            "closed-form first passage of a rolling-volatility random walk, score "
+            "forecasts with the Brier rule, and run the full comparison pipeline."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forecast", help="print a rolling forecast for one question")
     _add_question_args(p)
-    p.add_argument("--seed", type=int, required=True, help="explicit RNG seed")
-    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--seed", type=int, required=True, help="required for old scripts; no effect")
+    p.add_argument("--paths", type=int, default=10_000, help="accepted for old scripts; no effect")
     p.add_argument(
         "--step-mode",
         choices=[m.value for m in StepMode],
@@ -157,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--paths", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="accepted for old scripts; no effect")
+    p.add_argument("--paths", type=int, default=None, help="accepted for old scripts; no effect")
     p.add_argument("--step-mode", choices=[m.value for m in StepMode], default=None)
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--workers", type=int, default=None, help="accepted for old scripts; no effect")

@@ -4,18 +4,18 @@ The model is a driftless random walk on daily exchange-rate levels,
 x[t+1] = x[t] + e[t] with e[t] ~ Normal(0, sigma_h^2), where sigma_h is the
 sample standard deviation of historical daily increments. Forecasts are
 pseudo-out-of-sample: the estimate for day d uses price data up to d only.
+Each day's forecast is the closed-form first-passage probability
+2 * Phi(-d / (sigma_h sqrt(n))) (`analytic_barrier_probability`); the
+bridge-corrected Monte Carlo (`simulate_barrier_probability`) estimates the
+same number without bias and is kept as the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import math
 import operator
-import os
-import threading
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,23 +34,9 @@ from .domain import (
 # Philox-4x64 emits four 64-bit words per counter block; per-path strides are
 # rounded up to whole blocks so any path's draws sit at fixed counter offsets.
 _WORDS_PER_BLOCK = 4
-# Each of a kernel thread's three working arrays holds at most this many bytes
-# (for a path longer than that, one path), so a block's arrays stay in cache.
+# Each of the kernel's three working arrays holds at most this many bytes (for
+# a path longer than that, one path), so a block's arrays stay in cache.
 _BLOCK_BYTES = 256 * 1024
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# One thread per usable CPU for `rolling_forecast`'s independent days; numpy and
-# scipy release the GIL in the kernel's array loops, so days run in parallel.
-# The executor starts its threads on first use, not at import.
-_POOL = ThreadPoolExecutor(_usable_cpus(), "fxbarrier-day") if _usable_cpus() > 1 else None
-# Each kernel thread's one Philox generator and its `random` (`_philox_random`).
-_THREAD_STATE = threading.local()
 
 
 class StepMode(str, Enum):
@@ -74,10 +60,13 @@ def as_integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Monte Carlo settings. The seed is explicit: no entropy-seeded default.
+    """Forecast settings. `rolling_forecast` reads only `step_mode`.
 
-    `seed` and `n_paths` must be integers (numpy integers are accepted and
-    stored as int); a float, even an integral one, or a bool is rejected.
+    `seed` and `n_paths` set `simulate_barrier_probability`'s draws; they have
+    no effect on `rolling_forecast`, whose days use the closed form. The seed
+    is still explicit (no entropy-seeded default). Both must be integers (numpy
+    integers are accepted and stored as int); a float, even an integral one,
+    or a bool is rejected.
     """
 
     seed: int
@@ -134,41 +123,6 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
     return VolatilityEstimate(as_of=as_of, sigma_h=sigma, n_obs=k - 1)
 
 
-def derive_seed(seed: int, question_id: str, date: dt.date) -> int:
-    """Stable 64-bit substream seed for one (run seed, question, day) cell."""
-    msg = f"{operator.index(seed)}:{question_id}:{date.isoformat()}".encode()
-    return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "big")
-
-
-def _philox_random(seed: int, counter: int):
-    """This thread's Philox `random`, set to the stream `np.random.Philox(key=seed)`
-    gives after `advance(counter)`: key [seed, 0], counter [counter, 0, 0, 0]
-    and no buffered words.
-
-    Each thread builds one generator, on its first kernel call, and sets its
-    state from then on: that takes about a tenth of the time of building a
-    generator, most of which goes to an entropy-seeded SeedSequence that a key
-    leaves unused, and half that of `advance`. Every field of the state is
-    set, so nothing an earlier call on the thread left behind, even one that
-    raised mid-block, reaches these draws.
-    """
-    try:
-        bitgen, draw = _THREAD_STATE.philox
-    except AttributeError:
-        bitgen = np.random.Philox(key=0)
-        draw = np.random.Generator(bitgen).random
-        _THREAD_STATE.philox = bitgen, draw
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [counter, 0, 0, 0], "key": [seed, 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return draw
-
-
 def _stride(n_steps: int) -> int:
     """Counter words per path: `n_steps` rounded up to whole Philox blocks (at least one)."""
     return max(1, -(-n_steps // _WORDS_PER_BLOCK)) * _WORDS_PER_BLOCK
@@ -196,8 +150,8 @@ def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed:
     The paths are filled on the calling thread in blocks of `_block_paths`
     paths, reusing three working arrays; each block writes only its own slice
     of `survival`, and the mean is taken over the whole array, so the block
-    size changes no bit. Each block sets the thread's one generator to the
-    block's first counter (`_philox_random`).
+    size changes no bit. Each block draws from a Philox generator keyed by
+    `seed` and started at the block's first counter.
     """
     stride = _stride(n_steps)
     block = _block_paths(n_steps)
@@ -208,7 +162,8 @@ def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed:
         stop = min(start + block, n_paths)
         uniforms, levels, hit = (a[: stop - start] for a in arrays)
         # a block's paths start on a whole counter block
-        _philox_random(seed, start * stride // _WORDS_PER_BLOCK)(out=uniforms)
+        bitgen = np.random.Philox(key=seed, counter=start * stride // _WORDS_PER_BLOCK)
+        np.random.Generator(bitgen).random(out=uniforms)
         ndtri(uniforms[:, :n_steps], out=levels)
         np.cumsum(levels, axis=1, out=levels)
         levels += d_over_sigma
@@ -238,12 +193,13 @@ def simulate_barrier_probability(
 
     Returns exactly 1.0 when the start is already at or below the barrier and
     0.0 when the walk cannot move (zero volatility or no steps remaining).
-    Deterministic for fixed (seed, n_paths, inputs). The result depends on
-    x0, barrier and sigma only through the float (x0 - barrier) / sigma, so
-    negating both x0 and barrier is exact; that is how ccy_per_usd questions
-    are priced as up-crossings. Inputs equal only in decimal (up 0.15 from 1.0
-    versus down 0.15 from 1.0) round to different distances and can differ at
-    about 1e-16.
+    Deterministic for fixed (seed, n_paths, inputs). It estimates
+    `analytic_barrier_probability`, the forecast `rolling_forecast` uses,
+    without bias, and is the reference that forecast is tested against. The
+    result depends on x0, barrier and sigma only through the float
+    (x0 - barrier) / sigma, so negating both x0 and barrier is exact. Inputs
+    equal only in decimal (up 0.15 from 1.0 versus down 0.15 from 1.0) round
+    to different distances and can differ at about 1e-16.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -265,6 +221,9 @@ def analytic_barrier_probability(
 
     Treats the walk as a Brownian motion with per-step variance sigma^2 and
     applies the reflection principle: 2 * Phi((barrier - x0) / (sigma sqrt(n))).
+    This is each day's forecast in `rolling_forecast`. Negating both x0 and
+    barrier is exact, which is how ccy_per_usd questions are priced as
+    up-crossings.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -299,17 +258,11 @@ def rolling_forecast(
     For each observed date d from the question's scoring start up to (but not
     including) its resolve date: volatility is re-estimated from data up to d,
     the remaining steps to close are counted under `params.step_mode`, and the
-    crossing probability is simulated from the day-d close. Each day draws
-    from a fresh substream derived from (seed, question_id, d), so a forecast
-    depends only on information available on that day. The days are found by
-    bisect on `series.dates`, and their steps are counted in one call.
-
-    Days are independent, so when a day's simulation is more than one kernel
-    block (`n_paths > _block_paths` at the longest day), they run on the
-    shared `_POOL`; `Executor.map` keeps their order, raises the earliest
-    failing day's error and cancels the days not yet started. Otherwise, or
-    with one usable CPU, they run on the calling thread. No bit depends on
-    which thread runs which day.
+    crossing probability from the day-d close is the closed form
+    `analytic_barrier_probability`, so a forecast depends only on information
+    available on that day. `params.seed` and `params.n_paths` are not read.
+    The days are found by bisect on `series.dates`, and their steps are
+    counted in one call.
     """
     resolution = resolve(series, question)
     # the observed days among forecast_days(question, resolution)
@@ -318,18 +271,8 @@ def rolling_forecast(
     steps = _steps_to_close(series.dates[lo:hi], question.close_date, params.step_mode)
     sign = series.quote_direction.sign
     barrier = sign * barrier_rate(question, series.quote_direction)
-
-    def forecast_day(point: tuple[dt.date, float], n_steps: int) -> tuple[dt.date, float]:
-        d, rate = point
-        vol = estimate_volatility(series, d)
-        day_params = SimulationParams(
-            seed=derive_seed(params.seed, question.question_id, d),
-            n_paths=params.n_paths,
-            step_mode=params.step_mode,
-        )
-        p = simulate_barrier_probability(sign * rate, vol.sigma_h, barrier, n_steps, day_params)
-        return d, p
-
-    pooled = _POOL is not None and params.n_paths > _block_paths(max(steps, default=0))
-    days = (_POOL.map if pooled else map)(forecast_day, series.points[lo:hi], steps)
+    days = []
+    for (d, rate), n_steps in zip(series.points[lo:hi], steps):
+        sigma = estimate_volatility(series, d).sigma_h
+        days.append((d, analytic_barrier_probability(sign * rate, sigma, barrier, n_steps)))
     return ForecastSeries(question.question_id, Source.RANDOM_WALK, tuple(days))

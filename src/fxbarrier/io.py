@@ -10,22 +10,27 @@ from .domain import _PROBABILITY, _RATE, ForecastSeries, PriceSeries, QuoteDirec
 
 
 def _read_rows(path: Path, expected_header: list[str]):
+    """(line, row) for each non-empty data row; a row the csv module cannot
+    parse (such as a field over its size limit) is a ValueError naming the line."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != expected_header:
                 raise ValueError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(row)}"
+                    f"{path}: expected header {','.join(expected_header)!r}, got {header}"
                 )
-            yield lineno, row
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {len(expected_header)} fields, "
+                        f"got {len(row)}"
+                    )
+                yield lineno, row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _parse_date(text: str, path: Path, lineno: int) -> dt.date:

@@ -2,8 +2,8 @@
 
 The run configuration is a single declarative JSON file; all paths inside it
 resolve relative to the file's directory. Questions run in question-id order
-on the calling thread (only the engine's day pool uses threads), so report
-files are byte-identical across reruns and pool sizes, whatever `workers` says.
+on the calling thread, so report files are byte-identical across reruns,
+whatever `workers` says.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     The top-level keys are the fields of RunConfig (other than sim) and of
     SimulationParams. Recognised overrides: seed, n_paths, step_mode,
     output_dir, workers; an override of None counts as absent, and any other
-    name is a TypeError. The seed must be explicit, in the file or as an override;
-    Monte Carlo runs are never entropy-seeded.
+    name is a TypeError. The seed must be explicit, in the file or as an
+    override, though no forecast reads it (see `SimulationParams`).
     """
     unknown = sorted(set(overrides) - _OVERRIDES)
     if unknown:

@@ -33,6 +33,40 @@ def test_criterion_1_scoring_identities():
     assert expected == 0.1875
 
 
+# Bernstein's bound on a mean of n_paths values in [0, 1] with variance at most
+# p(1-p): |estimate - p| <= (L/3 + sqrt(L^2/9 + 2 n p(1-p) L)) / n except with
+# probability 2 exp(-L), 1e-10 per day at L = 23.7 (the benchmark oracle's rule).
+BERNSTEIN_L = 23.7
+
+
+def bernstein_tolerance(p: float, n_paths: int) -> float:
+    L = BERNSTEIN_L
+    return (L / 3.0 + math.sqrt(L * L / 9.0 + 2.0 * n_paths * p * (1.0 - p) * L)) / n_paths
+
+
+def golden_random_walk_days():
+    """(x0, sigma, barrier, n_steps, emitted p) for each golden random-walk day."""
+    golden = Path(__file__).parent / "data" / "golden_run"
+    config = fx.load_config(golden / "config.json")
+    files = {pf.pair_id: pf for pf in config.price_files}
+    days = []
+    for spec in config.questions:
+        if spec.non_floating:
+            continue
+        emitted = golden / "expected" / f"forecast_{spec.question_id}_random_walk.csv"
+        pf = files[spec.pair_id]
+        series, question = spec.to_question(
+            fx.ingest_price_csv(pf.path, pf.pair_id, pf.quote_direction)
+        )
+        sign = series.quote_direction.sign
+        barrier = sign * fx.barrier_rate(question, series.quote_direction)
+        for d, p in fx.parse_forecast_csv(emitted, spec.question_id).points:
+            sigma = fx.estimate_volatility(series, d).sigma_h
+            n_steps = fx.remaining_steps(d, question.close_date, config.sim.step_mode)
+            days.append((sign * series.rate_on(d), sigma, barrier, n_steps, p))
+    return config.sim, days
+
+
 def test_criterion_2_monte_carlo_vs_analytic():
     params = fx.SimulationParams(seed=20260809, n_paths=100_000)
     sigma = 0.01
@@ -46,9 +80,21 @@ def test_criterion_2_monte_carlo_vs_analytic():
             err = abs(sim - ana)
             if err > worst[0]:
                 worst = (err, (ratio, n_steps))
-    ok = worst[0] <= 0.015
-    report_line(2, "monte carlo vs analytic grid", ok)
-    assert ok, f"max |simulate - analytic| = {worst[0]:.5f} at {worst[1]}"
+    # The golden run's forecasts are the closed form; its own Monte Carlo
+    # settings (2,000 paths) must land within the Bernstein bound of each
+    # emitted day, plus the six-decimal rounding.
+    sim_params, days = golden_random_walk_days()
+    outside = [
+        (x0, sigma_h, barrier, n_steps, p)
+        for x0, sigma_h, barrier, n_steps, p in days
+        if abs(fx.simulate_barrier_probability(x0, sigma_h, barrier, n_steps, sim_params) - p)
+        > bernstein_tolerance(p, sim_params.n_paths) + 1e-6
+    ]
+    ok = worst[0] <= 0.015 and len(days) == 188 and not outside
+    report_line(2, "monte carlo vs analytic grid and golden days", ok)
+    assert worst[0] <= 0.015, f"max |simulate - analytic| = {worst[0]:.5f} at {worst[1]}"
+    assert len(days) == 188, len(days)
+    assert not outside, f"{len(outside)} golden days outside the bound, first {outside[0]}"
 
 
 def test_criterion_3_run_determinism_across_parallelism(tmp_path):

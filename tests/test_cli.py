@@ -135,13 +135,20 @@ class TestRun:
             assert proc.stderr.startswith("error:") and message in proc.stderr
 
     def test_seed_override_changes_output(self, tmp_path):
+        # the name is kept from the Monte Carlo forecast; now neither --seed
+        # nor --paths changes any byte of the report
         config = build_config(tmp_path, n_paths=400)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        run_cli("run", "--config", str(config), "--out", str(out_a))
-        run_cli("run", "--config", str(config), "--out", str(out_b), "--seed", "999")
-        name = "forecast_q-flt_random_walk.csv"
-        assert (out_a / name).read_bytes() != (out_b / name).read_bytes()
+
+        def run(name, *overrides):
+            out = tmp_path / name
+            proc = run_cli("run", "--config", str(config), "--out", str(out), *overrides)
+            assert proc.returncode == 0, proc.stderr
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        base = run("a")
+        assert "forecast_q-flt_random_walk.csv" in base
+        assert run("b", "--seed", "999") == base
+        assert run("c", "--paths", "7") == base
 
 
 class TestScore:

@@ -9,7 +9,6 @@ equations. The byte comparison then pins the exact engine output.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +66,12 @@ def test_resolutions_match_independent_scan(golden_report):
 
 
 def test_random_walk_forecasts_track_analytic(golden_report):
+    # the forecast is the closed form, so the audit holds bit for bit
     config, report, _ = golden_report
     prices = {
         pf.pair_id: ingest_price_csv(pf.path, pf.pair_id, pf.quote_direction)
         for pf in config.price_files
     }
-    n_paths = config.sim.n_paths
     for spec in config.questions:
         result = report.results[spec.question_id]
         fs = result.forecasts.get(Source.RANDOM_WALK)
@@ -92,8 +91,7 @@ def test_random_walk_forecasts_track_analytic(golden_report):
             ana = analytic_barrier_probability(
                 sign * series.rate_on(d), sigma, sign * barrier, steps
             )
-            tol = 3 * math.sqrt(max(ana * (1 - ana), 1e-6) / n_paths) + 0.01
-            assert abs(p - ana) <= tol, (spec.question_id, d)
+            assert p == ana, (spec.question_id, d)
 
 
 def test_scores_are_pointwise_brier(golden_report):

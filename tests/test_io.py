@@ -78,6 +78,10 @@ class TestIngestPriceCsv:
         path.write_text("date,rate\n2022-01-03\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected 2 fields"):
             ingest_price_csv(path)
+        # one field over the csv module's 131,072-character limit
+        path.write_text(f"date,rate\n2022-01-03,{'1' * 131_073}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"eur.csv:2: field larger than field limit"):
+            ingest_price_csv(path)
 
     def test_wrong_header_is_an_error(self, tmp_path):
         path = tmp_path / "eur.csv"

@@ -7,7 +7,6 @@ import dataclasses
 import datetime as dt
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from fxbarrier import (
     parse_forecast_csv,
     run_pipeline,
 )
-from fxbarrier import engine, pipeline
+from fxbarrier import pipeline
 
 from conftest import build_config, random_walk_series
 
@@ -229,36 +228,11 @@ class TestRunPipeline:
         b = run_to_dir(path, tmp_path / "out_b")
         assert a == b
 
-    def test_parallelism_does_not_change_bytes(self, tmp_path, monkeypatch):
+    def test_parallelism_does_not_change_bytes(self, tmp_path):
         path = build_config(tmp_path)
-        config = load_config(path)
-        # the longest day is more than one kernel block, so its days go to a pool
-        longest = max(
-            engine.remaining_steps(q.open_date, q.close_date, config.sim.step_mode)
-            for q in config.questions
-            if not q.non_floating
-        )
-        assert config.sim.n_paths > engine._block_paths(longest)
         serial = run_to_dir(path, tmp_path / "out_serial", workers=1)
         threaded = run_to_dir(path, tmp_path / "out_threaded", workers=4)
         assert serial == threaded
-
-        threads = set()
-        simulate = engine.simulate_barrier_probability
-
-        def recording(*args):
-            threads.add(threading.current_thread().name)
-            return simulate(*args)
-
-        monkeypatch.setattr(engine, "simulate_barrier_probability", recording)
-        monkeypatch.setattr(engine, "_POOL", None)
-        inline = run_to_dir(path, tmp_path / "out_inline")
-        assert threads == {threading.current_thread().name}
-        with ThreadPoolExecutor(3, "test-day") as pool:
-            monkeypatch.setattr(engine, "_POOL", pool)
-            pooled = run_to_dir(path, tmp_path / "out_pooled")
-        assert {t for t in threads if t.startswith("test-day")}
-        assert inline == pooled == serial
 
     def test_questions_run_in_id_order_on_the_calling_thread(self, tmp_path, monkeypatch):
         path = build_config(tmp_path)
@@ -283,6 +257,22 @@ class TestRunPipeline:
         assert list(report.results) == ["q-flt", "q-peg"]
         assert list(report.errors) == ["q-mid"]
         assert "bad.csv" in report.errors["q-mid"]
+
+    def test_unparseable_price_file_fails_only_its_questions(self, tmp_path):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text())
+        # one field over the csv module's 131,072-character limit, on line 3
+        (tmp_path / "prices" / "huge.csv").write_text(
+            f"date,rate\n2022-01-03,1.0\n2022-01-04,{'1' * 131_073}\n", encoding="utf-8"
+        )
+        raw["price_files"].append({"pair_id": "HUGEUSD", "path": "prices/huge.csv"})
+        raw["questions"].append(dict(raw["questions"][0], question_id="q-huge", pair_id="HUGEUSD"))
+        path.write_text(json.dumps(raw))
+        report = run_pipeline(load_config(path))
+        assert sorted(report.results) == ["q-flt", "q-peg"]
+        assert list(report.errors) == ["q-huge"]
+        message = "huge.csv:3: field larger than field limit (131072)"
+        assert report.errors["q-huge"].endswith(message)
 
     def test_config_order_does_not_change_bytes(self, tmp_path_factory):
         dir_a = tmp_path_factory.mktemp("order_a")
