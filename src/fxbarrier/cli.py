@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="print a rolling forecast for one question")
     _add_question_args(p)
-    p.add_argument("--seed", type=int, required=True, help="required for old scripts; no effect")
+    p.add_argument("--seed", type=int, default=0, help="accepted for old scripts; no effect")
     p.add_argument("--paths", type=int, default=10_000, help="accepted for old scripts; no effect")
     p.add_argument(
         "--step-mode",

@@ -7,7 +7,8 @@ pseudo-out-of-sample: the estimate for day d uses price data up to d only.
 Each day's forecast is the closed-form first-passage probability
 2 * Phi(-d / (sigma_h sqrt(n))) (`analytic_barrier_probability`); the
 bridge-corrected Monte Carlo (`simulate_barrier_probability`) estimates the
-same number without bias and is kept as the reference it is tested against.
+same number without bias and is kept as the reference it is tested against:
+a plain loop that moves every path one step at a time on one Philox stream.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .domain import (
     ForecastSeries,
@@ -30,13 +31,6 @@ from .domain import (
     barrier_rate,
     resolve,
 )
-
-# Philox-4x64 emits four 64-bit words per counter block; per-path strides are
-# rounded up to whole blocks so any path's draws sit at fixed counter offsets.
-_WORDS_PER_BLOCK = 4
-# Each of the kernel's three working arrays holds at most this many bytes (for
-# a path longer than that, one path), so a block's arrays stay in cache.
-_BLOCK_BYTES = 256 * 1024
 
 
 class StepMode(str, Enum):
@@ -64,12 +58,12 @@ class SimulationParams:
 
     `seed` and `n_paths` set `simulate_barrier_probability`'s draws; they have
     no effect on `rolling_forecast`, whose days use the closed form. The seed
-    is still explicit (no entropy-seeded default). Both must be integers (numpy
+    defaults to 0, a fixed key, never entropy. Both must be integers (numpy
     integers are accepted and stored as int); a float, even an integral one,
     or a bool is rejected.
     """
 
-    seed: int
+    seed: int = 0
     n_paths: int = 10_000
     step_mode: StepMode = StepMode.TRADING_DAYS
 
@@ -123,61 +117,26 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
     return VolatilityEstimate(as_of=as_of, sigma_h=sigma, n_obs=k - 1)
 
 
-def _stride(n_steps: int) -> int:
-    """Counter words per path: `n_steps` rounded up to whole Philox blocks (at least one)."""
-    return max(1, -(-n_steps // _WORDS_PER_BLOCK)) * _WORDS_PER_BLOCK
-
-
-def _block_paths(n_steps: int) -> int:
-    """Paths per kernel block, so each of its three working arrays holds at most
-    `_BLOCK_BYTES` (one path when a path is longer than that)."""
-    return max(1, _BLOCK_BYTES // (8 * _stride(n_steps)))
-
-
 def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed: int) -> float:
     """Monte Carlo estimate of hitting a barrier `d_over_sigma` step-sigmas below start.
 
-    Paths are built from unit-normal daily increments via inverse-CDF draws on
-    a Philox counter stream: path i consumes the words at offsets
-    [i*stride, i*stride + n_steps), so results are independent of chunking and
-    of any parallel scheduling around this call. A path's hit probability is
-    accumulated analytically between closes: conditional on consecutive levels
-    a, c above the barrier, a continuous bridge touches it with probability
-    exp(-2ac), so each path contributes 1 - prod(1 - p_step) instead of a
-    raw indicator. This keeps the estimator unbiased for the first-passage
-    probability of the underlying continuous walk and tightens the variance.
-
-    The paths are filled on the calling thread in blocks of `_block_paths`
-    paths, reusing three working arrays; each block writes only its own slice
-    of `survival`, and the mean is taken over the whole array, so the block
-    size changes no bit. Each block draws from a Philox generator keyed by
-    `seed` and started at the block's first counter.
+    All paths advance together: step k draws the k-th `n_paths` unit normals
+    from one Philox generator keyed by `seed`, so a path's first k increments
+    do not depend on `n_steps`, and memory is a few arrays of `n_paths` floats.
+    Between consecutive levels a, c above the barrier, a continuous bridge
+    touches it with probability exp(-2ac), so each path contributes
+    1 - prod(1 - p_step) instead of a raw indicator: unbiased for the
+    continuous walk's first-passage probability, with less variance. A level
+    clipped at the barrier makes its step's factor 0, so the clip changes no
+    survival.
     """
-    stride = _stride(n_steps)
-    block = _block_paths(n_steps)
-    rows = min(block, n_paths)
-    arrays = (np.empty((rows, stride)), *np.empty((2, rows, n_steps)))
-    survival = np.empty(n_paths, dtype=np.float64)
-    for start in range(0, n_paths, block):
-        stop = min(start + block, n_paths)
-        uniforms, levels, hit = (a[: stop - start] for a in arrays)
-        # a block's paths start on a whole counter block
-        bitgen = np.random.Philox(key=seed, counter=start * stride // _WORDS_PER_BLOCK)
-        np.random.Generator(bitgen).random(out=uniforms)
-        ndtri(uniforms[:, :n_steps], out=levels)
-        np.cumsum(levels, axis=1, out=levels)
-        levels += d_over_sigma
-        np.maximum(levels, 0.0, out=levels)
-        # (-2a)c per step, a being the previous level: taken along the
-        # flattened block (contiguous, so one loop, not one per path),
-        # then column 0, whose previous level is d, is overwritten.
-        flat, flat_hit = levels.reshape(-1), hit.reshape(-1)
-        np.multiply(flat[:-1], -2.0, out=flat_hit[1:])
-        np.multiply(flat_hit[1:], flat[1:], out=flat_hit[1:])
-        np.multiply(-2.0 * d_over_sigma, levels[:, 0], out=hit[:, 0])
-        np.exp(hit, out=hit)
-        np.subtract(1.0, hit, out=hit)
-        np.prod(hit, axis=1, out=survival[start:stop])
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    level = np.full(n_paths, d_over_sigma)
+    survival = np.ones(n_paths)
+    for _ in range(n_steps):
+        nxt = np.maximum(level + rng.standard_normal(n_paths), 0.0)
+        survival *= 1.0 - np.exp(-2.0 * level * nxt)
+        level = nxt
     # survival.mean()'s pairwise sum and division, without its Python wrapper
     return 1.0 - float(np.add.reduce(survival) / n_paths)
 
@@ -193,13 +152,14 @@ def simulate_barrier_probability(
 
     Returns exactly 1.0 when the start is already at or below the barrier and
     0.0 when the walk cannot move (zero volatility or no steps remaining).
-    Deterministic for fixed (seed, n_paths, inputs). It estimates
-    `analytic_barrier_probability`, the forecast `rolling_forecast` uses,
-    without bias, and is the reference that forecast is tested against. The
-    result depends on x0, barrier and sigma only through the float
-    (x0 - barrier) / sigma, so negating both x0 and barrier is exact. Inputs
-    equal only in decimal (up 0.15 from 1.0 versus down 0.15 from 1.0) round
-    to different distances and can differ at about 1e-16.
+    Deterministic for fixed (seed, n_paths, inputs), on any thread. It
+    estimates `analytic_barrier_probability`, the forecast `rolling_forecast`
+    uses, without bias, and is the reference that forecast is tested against;
+    no forecast or report reads it. The result depends on x0, barrier and
+    sigma only through the float (x0 - barrier) / sigma, so negating both x0
+    and barrier is exact. Inputs equal only in decimal (up 0.15 from 1.0
+    versus down 0.15 from 1.0) round to different distances and can differ
+    at about 1e-16.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -209,9 +169,7 @@ def simulate_barrier_probability(
         return 1.0
     if sigma == 0.0 or n_steps == 0:
         return 0.0
-    return _crossing_probability(
-        (x0 - barrier) / sigma, int(n_steps), params.n_paths, params.seed
-    )
+    return _crossing_probability((x0 - barrier) / sigma, int(n_steps), params.n_paths, params.seed)
 
 
 def analytic_barrier_probability(

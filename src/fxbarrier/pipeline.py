@@ -207,8 +207,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     The top-level keys are the fields of RunConfig (other than sim) and of
     SimulationParams. Recognised overrides: seed, n_paths, step_mode,
     output_dir, workers; an override of None counts as absent, and any other
-    name is a TypeError. The seed must be explicit, in the file or as an
-    override, though no forecast reads it (see `SimulationParams`).
+    name is a TypeError. No forecast reads the seed (see `SimulationParams`).
     """
     unknown = sorted(set(overrides) - _OVERRIDES)
     if unknown:
@@ -222,8 +221,6 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected an object, got {reprlib.repr(raw)}")
     raw.update((k, v) for k, v in overrides.items() if v is not None)
-    if raw.get("seed") is None:
-        raise ValueError(f"{path}: an explicit seed is required")
     if raw.get("output_dir") is None:  # beside the config, not the working directory
         raw["output_dir"] = RunConfig.output_dir
     sim_keys = {f.name for f in fields(SimulationParams)}
@@ -301,6 +298,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
     Questions run in id order on the calling thread; a failure is recorded
     in the report, not raised, unless every question fails. Results depend
     on neither the config's order of questions or price files nor `workers`.
+    External consensus points outside their question's window are dropped
+    with a warning, as `fxbarrier score` drops them.
     """
     warnings: list[str] = []
     prices: dict[str, PriceSeries] = {}
@@ -347,6 +346,16 @@ def run_pipeline(config: RunConfig) -> RunReport:
             )
         except ValueError as exc:
             errors[spec.question_id] = str(exc)
+            continue
+        if spec.question_id in external:  # _run_question kept its points in the window
+            result = results[spec.question_id]
+            dropped = len(external[spec.question_id]) - len(result.forecasts.get(Source.CROWD, ()))
+            if dropped:
+                q, end = result.question, result.resolution.resolve_date
+                warnings.append(
+                    f"consensus file {config.external_consensus_file}: {q.question_id}: "
+                    f"dropped {dropped} points outside [{q.scoring_start}, {end})"
+                )
     if not results:
         details = "; ".join(f"{qid}: {msg}" for qid, msg in sorted(errors.items()))
         raise ValueError(f"all questions failed: {details}")

@@ -8,14 +8,12 @@ import math
 import statistics
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
 import fxbarrier.engine as engine_mod
 from fxbarrier import (
@@ -241,12 +239,6 @@ class TestSimulate:
         ]
         assert probs == sorted(probs)
 
-    def test_chunk_layout_does_not_change_result(self, monkeypatch):
-        base = simulate_barrier_probability(1.0, 0.01, 0.92, 37, PARAMS)
-        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8_000)
-        chunked = simulate_barrier_probability(1.0, 0.01, 0.92, 37, PARAMS)
-        assert base == chunked
-
     def test_mirrored_call_prices_up_crossing(self):
         # The engine sees only the float (x0 - barrier) / sigma, and 1.15 and 0.85
         # round differently in binary, so up 0.15 from 1.0 and down 0.15 from 1.0
@@ -271,162 +263,67 @@ class TestSimulate:
 
 
 def reference_crossing_probability(d_over_sigma, n_steps, n_paths, seed):
-    """The kernel as it was before path blocks: one chunk, with a `left` copy."""
-    stride = -(-n_steps // 4) * 4
-    survival = np.empty(n_paths, dtype=np.float64)
-    bitgen = np.random.Philox(key=int(seed))
-    uniforms = np.random.Generator(bitgen).random((n_paths, stride))
-    levels = ndtri(uniforms[:, :n_steps])
-    np.cumsum(levels, axis=1, out=levels)
-    levels += d_over_sigma
+    """The kernel's estimator on the whole (n_steps, n_paths) matrix of draws."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    levels = np.cumsum(rng.standard_normal((n_steps, n_paths)), axis=0) + d_over_sigma
     np.maximum(levels, 0.0, out=levels)
-    left = np.empty_like(levels)
-    left[:, 0] = d_over_sigma
-    left[:, 1:] = levels[:, :-1]
-    step_hit = np.exp(-2.0 * left * levels)
-    np.prod(1.0 - step_hit, axis=1, out=survival)
+    left = np.vstack([np.full((1, n_paths), d_over_sigma), levels[:-1]])
+    survival = np.prod(1.0 - np.exp(-2.0 * left * levels), axis=0)
     return 1.0 - float(survival.mean())
 
 
-class KernelThreads:
-    """Runs kernel calls on the test's thread, or on `n` threads at once."""
-
-    def __init__(self, n):
-        self.n = n
-        self.pool = ThreadPoolExecutor(n) if n else None
-
-    def map(self, fn, *iterables):
-        return list(self.pool.map(fn, *iterables) if self.pool else map(fn, *iterables))
-
-    def each(self, fn):
-        """Call `fn` once on every thread (held at a barrier until all have it)."""
-        if self.pool is None:
-            fn()
-            return
-        barrier = threading.Barrier(self.n)
-
-        def held():
-            barrier.wait(timeout=30)
-            fn()
-
-        for future in [self.pool.submit(held) for _ in range(self.n)]:
-            future.result(timeout=60)
+def kernel_cases():
+    rng = np.random.default_rng(20261018)
+    for n_steps in (1, 2, 3, 5, 7, 37, 61, 129):
+        for n_paths in (1, 2, 6, 7, 8, 999, 2_731):
+            d = float(rng.uniform(0.05, 3.0) * math.sqrt(n_steps))
+            yield d, n_steps, n_paths, int(rng.integers(0, 2**64, dtype=np.uint64))
 
 
-@pytest.fixture(params=[0, 3], ids=["no_helpers", "3_helpers"])
-def helper_threads(request):
-    """Kernel calls on the test's thread only, or on 3 helper threads at once
-    whatever the CPU count. Each block builds its own generator, so calls
-    with interleaved seeds must not see each other. With helpers, threads
-    switch far more often than by default, so the calls interleave.
-    """
-    threads = KernelThreads(request.param)
-    old = sys.getswitchinterval()
-    if threads.pool is not None:
-        sys.setswitchinterval(1e-6)
-    try:
-        yield threads
-    finally:
-        sys.setswitchinterval(old)
-        if threads.pool is not None:
-            threads.pool.shutdown()
+class TestKernel:
+    def test_matches_the_whole_matrix_reference(self):
+        # a running sum and cumsum add in different orders, so a level can
+        # differ in its last bit
+        for case in kernel_cases():
+            p = engine_mod._crossing_probability(*case)
+            assert abs(p - reference_crossing_probability(*case)) <= 1e-15, case
+        # the public entry point passes (x0 - barrier) / sigma, a few ulp from 10.0
+        p = simulate_barrier_probability(1.0, 0.01, 0.9, 60, PARAMS)
+        ref = reference_crossing_probability((1.0 - 0.9) / 0.01, 60, PARAMS.n_paths, PARAMS.seed)
+        assert abs(p - ref) <= 1e-15
 
+    def test_pool_threads_match_calls_in_turn(self):
+        cases = list(kernel_cases())[::4]
+        in_turn = [engine_mod._crossing_probability(*case) for case in cases]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # so the threads' calls interleave
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                got = pool.map(engine_mod._crossing_probability, *zip(*cases), timeout=60)
+                assert list(got) == in_turn
+        finally:
+            sys.setswitchinterval(old)
 
-def check_against_reference(threads, cases):
-    """Every (d, n_steps, n_paths, seed) case, run on `threads`, matches the reference."""
-    got = threads.map(engine_mod._crossing_probability, *zip(*cases))
-    for case, p in zip(cases, got):
-        assert p == reference_crossing_probability(*case), case
+    # Step k draws the k-th n_paths normals whatever n_steps is, so a longer
+    # walk extends the same paths, and a farther start raises every level:
+    # both properties hold bit for bit at a fixed seed and path count.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.floats(0.01, 20.0),
+        steps=st.lists(st.integers(1, 200), min_size=2, max_size=2, unique=True),
+    )
+    def test_more_steps_never_lower_the_estimate(self, d, steps):
+        short, long = (engine_mod._crossing_probability(d, n, 500, 7) for n in sorted(steps))
+        assert short <= long
 
-
-class TestKernelBlocks:
-    # 8 bytes makes every block one path. 8 * 4 * 7 bytes hold 7 paths of up
-    # to 4 steps and fewer longer ones, so most path counts leave a short last
-    # block; so does the default size at 999 and 2,731 paths of 61 or 129 steps.
-    @pytest.mark.parametrize("block_bytes", [8, 8 * 4 * 7, None])
-    def test_bits_match_the_single_chunk_reference(self, helper_threads, block_bytes, monkeypatch):
-        if block_bytes is not None:
-            monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", block_bytes)
-        rng = np.random.default_rng(20261018)
-        steps = [1, 2, 3, 5, 7, 37, 61, 129]
-        paths = [1, 2, 6, 7, 8, 999, 2_731]
-        cases = []
-        for n_steps in steps:
-            for n_paths in paths if block_bytes != 8 else paths[:5]:
-                d = float(rng.uniform(0.05, 3.0) * math.sqrt(n_steps))
-                seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-                cases.append((d, n_steps, n_paths, seed))
-        check_against_reference(helper_threads, cases)
-
-    def test_public_entry_point_matches_reference(self, helper_threads):
-        # 60 steps x 20k paths is many default-size blocks
-        seeds = [PARAMS.seed + k for k in range(3)]
-        got = helper_threads.map(
-            lambda seed: simulate_barrier_probability(
-                1.0, 0.01, 0.9, 60, dataclasses.replace(PARAMS, seed=seed)
-            ),
-            seeds,
-        )
-        for seed, p in zip(seeds, got):
-            # the kernel sees (x0 - barrier) / sigma, a few ulp from 10.0
-            assert p == reference_crossing_probability((1.0 - 0.9) / 0.01, 60, PARAMS.n_paths, seed)
-
-    def test_failing_block_propagates_and_leaves_no_writer(self, helper_threads, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 50)
-        before = simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
-        caller = threading.current_thread()
-        started, done = [], []
-
-        def ndtri_failing_on_the_caller(*args, **kwargs):
-            if threading.current_thread() is caller:
-                started.append(None)
-                if len(started) == 2:
-                    raise FloatingPointError("second block")
-            time.sleep(0.001)  # the other threads are mid-call when one fails
-            result = ndtri(*args, **kwargs)
-            if threading.current_thread() is caller:
-                done.append(None)
-            return result
-
-        monkeypatch.setattr(engine_mod, "ndtri", ndtri_failing_on_the_caller)
-        cases = [(2.0, 61, 3_001, seed) for seed in (5, 2**64 - 1, 6)]
-        others = helper_threads.pool.map(
-            engine_mod._crossing_probability, *zip(*cases)
-        ) if helper_threads.pool else ()
-        with pytest.raises(FloatingPointError, match="^second block$"):
-            simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS)
-        # of 400 blocks, the call ran one and stopped at the one that raised
-        assert (len(started), len(done)) == (2, 1)
-        for case, p in zip(cases, others):
-            assert p == reference_crossing_probability(*case), case
-        monkeypatch.setattr(engine_mod, "ndtri", ndtri)
-        assert simulate_barrier_probability(1.0, 0.01, 0.92, 61, PARAMS) == before
-
-
-class TestRekeyedGenerator:
-    """Each kernel block keys a Philox generator at the block's first counter;
-    every call must still match one fresh `np.random.Philox(key=seed)` for
-    all its paths (the reference above)."""
-
-    CASES = [(2.5, 37, 300), (0.7, 5, 1_000), (4.0, 61, 64), (1.3, 1, 2_731)]
-
-    def check_interleaved(self, threads):
-        rng = np.random.default_rng(20261019)
-        seeds = [int(s) for s in rng.integers(0, 2**64, size=4, dtype=np.uint64)]
-        seeds += [0, 2**64 - 1]
-        # every seed with every case, seeds changing on each call, twice over
-        cases = [(*case, seed) for case in self.CASES for seed in seeds]
-        check_against_reference(threads, cases * 2)
-
-    @pytest.mark.parametrize("helper_threads", [0], indirect=True)
-    def test_interleaved_seeds_on_one_thread(self, helper_threads):
-        self.check_interleaved(helper_threads)
-
-    @pytest.mark.parametrize("helper_threads", [3], indirect=True)
-    def test_interleaved_seeds_on_helper_threads(self, helper_threads, monkeypatch):
-        # a few paths per block, so each call re-keys its thread's generator often
-        monkeypatch.setattr(engine_mod, "_BLOCK_BYTES", 8 * 64 * 3)
-        self.check_interleaved(helper_threads)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ds=st.lists(st.floats(0.01, 20.0), min_size=2, max_size=2, unique=True),
+        n_steps=st.integers(1, 200),
+    )
+    def test_a_farther_barrier_never_raises_the_estimate(self, ds, n_steps):
+        near, far = (engine_mod._crossing_probability(d, n_steps, 500, 7) for d in sorted(ds))
+        assert far <= near
 
 
 class TestRemainingSteps:

@@ -36,13 +36,25 @@ def run_to_dir(config_path: Path, out: Path, **overrides) -> dict[str, bytes]:
 
 class TestConfig:
     def test_requires_seed(self, tmp_path):
+        # the name is kept from when a seed was required; no forecast reads
+        # it, so a config without one runs to the same bytes
         path = build_config(tmp_path)
+        with_seed = run_to_dir(path, tmp_path / "a")
         raw = json.loads(path.read_text())
         del raw["seed"]
         path.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match="explicit seed"):
-            load_config(path)
+        assert load_config(path).sim.seed == 0
         assert load_config(path, seed=7).sim.seed == 7
+        assert run_to_dir(path, tmp_path / "b") == with_seed
+        for seed, message in [
+            (-1, "seed must be a 64-bit unsigned integer"),
+            (1.5, "'seed' must be an integer, got 1.5"),
+            (True, "'seed' must be an integer, got True"),
+        ]:
+            path.write_text(json.dumps(dict(raw, seed=seed)))
+            with pytest.raises(ValueError) as excinfo:
+                load_config(path)
+            assert str(excinfo.value) == f"{path}: {message}"
 
     def test_unknown_pair_is_an_error(self, tmp_path):
         path = build_config(tmp_path)
@@ -527,6 +539,11 @@ class TestRunPipeline:
         report = run_pipeline(config)
         flt_result = report.results["q-flt"]
         assert set(flt_result.forecasts) == set(flt_result.scores) == {Source.RANDOM_WALK}
+        start, end = flt.dates[15], flt_result.resolution.resolve_date
+        assert report.warnings == [
+            f"consensus file {tmp_path / 'consensus.csv'}: q-flt: dropped 15 points "
+            f"outside [{start}, {end})"
+        ]
         names = {p.name for p in emit_report(report, config.output_dir)}
         assert {n for n in names if "q-flt" in n} == {
             "forecast_q-flt_random_walk.csv",
