@@ -3,6 +3,13 @@
 Fits x = beta0 + beta1 * crowd by least squares over daily paired samples
 pooled across questions, with classical standard errors and t tests against
 the unbiasedness null (intercept 0, slope 1).
+
+The two-sided Student-t p-value is the regularized incomplete beta
+I_x(df/2, 1/2) at x = df / (df + t^2), computed here from the standard
+library: a continued fraction (modified Lentz) on whichever side of the
+symmetry I_x(a, b) = 1 - I_(1-x)(b, a) converges fast, with 1 - x taken as
+t^2 / (df + t^2) rather than by subtraction, and log B(df/2, 1/2) from
+`math.lgamma` or, past df = 40, its asymptotic series.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import stdtr
 
 from .domain import ForecastSeries
 
@@ -84,15 +90,70 @@ def align_series(
     return samples
 
 
+def _log_beta_half(a: float) -> float:
+    """log B(a, 1/2); past a = 20 lgamma's difference cancels, so use the series.
+
+    At a = 5e5 (df = 10^6) the lgamma difference is 7e-10 off, and the
+    p-value 1.6e-9 relative; the series is within 1e-15.
+    """
+    if a < 20.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    # log(Gamma(a + 1/2) / Gamma(a)) = 1/2 log a - 1/(8a) + 1/(192a^3) - ...
+    r = 1.0 / (a * a)
+    series = 0.5 * math.log(a) - (1 / 8 - r * (1 / 192 - r * (1 / 640 - r * 17 / 14336))) / a
+    return 0.5 * math.log(math.pi) - series
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+
+    def clamp(v: float) -> float:
+        return v if abs(v) >= tiny else tiny
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / clamp(1.0 + num * d)
+            c = clamp(1.0 + num / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def _t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t on df degrees of freedom."""
+    t2 = t * t
+    x, q = df / (df + t2), t2 / (df + t2)
+    if x == 0.0:
+        return 0.0
+    if q == 0.0:
+        return 1.0
+    a, b = 0.5 * df, 0.5
+    log_x = math.log(x) if x < 0.5 else math.log1p(-q)
+    front = math.exp(a * log_x + b * math.log(q) - _log_beta_half(a))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, q) / b
+
+
 def t_test(estimate: float, se: float, null: float, df: int) -> tuple[float, float]:
     """t statistic against a null value and its two-sided Student-t p-value."""
+    for name, v in (("estimate", estimate), ("se", se), ("null", null), ("df", df)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     if se <= 0:
         raise ValueError("standard error must be positive")
     if df < 1:
         raise ValueError("degrees of freedom must be at least 1")
     t = (estimate - null) / se
-    p = float(2.0 * stdtr(df, -abs(t)))
-    return t, p
+    return t, _t_two_sided_p(t, df)
 
 
 def _degenerate_t(estimate: float, null: float) -> tuple[float, float]:

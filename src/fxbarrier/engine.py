@@ -5,7 +5,8 @@ x[t+1] = x[t] + e[t] with e[t] ~ Normal(0, sigma_h^2), where sigma_h is the
 sample standard deviation of historical daily increments. Forecasts are
 pseudo-out-of-sample: the estimate for day d uses price data up to d only.
 Each day's forecast is the closed-form first-passage probability
-2 * Phi(-d / (sigma_h sqrt(n))) (`analytic_barrier_probability`); the
+2 * Phi(-d / (sigma_h sqrt(n))) (`analytic_barrier_probability`), with
+2 * Phi(-u) taken as the standard library's `math.erfc(u / sqrt(2))`; the
 bridge-corrected Monte Carlo (`simulate_barrier_probability`) estimates the
 same number without bias and is kept as the reference it is tested against:
 a plain loop that moves every path one step at a time on one Philox stream.
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
 from .domain import (
     ForecastSeries,
@@ -178,7 +178,8 @@ def analytic_barrier_probability(
     """Closed-form first-passage probability for the driftless walk.
 
     Treats the walk as a Brownian motion with per-step variance sigma^2 and
-    applies the reflection principle: 2 * Phi((barrier - x0) / (sigma sqrt(n))).
+    applies the reflection principle: 2 * Phi((barrier - x0) / (sigma sqrt(n))),
+    computed as erfc((x0 - barrier) / (sigma sqrt(n)) / sqrt(2)).
     This is each day's forecast in `rolling_forecast`. Negating both x0 and
     barrier is exact, which is how ccy_per_usd questions are priced as
     up-crossings.
@@ -191,7 +192,7 @@ def analytic_barrier_probability(
         return 1.0
     if sigma == 0.0 or n_steps == 0:
         return 0.0
-    return float(2.0 * ndtr((barrier - x0) / (sigma * np.sqrt(n_steps))))
+    return math.erfc((x0 - barrier) / (sigma * math.sqrt(n_steps)) / math.sqrt(2.0))
 
 
 def _steps_to_close(dates, close_date: dt.date, step_mode: StepMode) -> list[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,6 +120,63 @@ class TestTTest:
             t_test(1.0, 0.0, 0.0, 10)
         with pytest.raises(ValueError):
             t_test(1.0, 1.0, 0.0, 0)
+
+
+def exact_two_sided_p(t: float, df: int):
+    """I_x(df/2, 1/2) at x = df / (df + t^2), to 50 digits; None below 1e-300.
+
+    I_x(a, 1/2) <= x^a / (a B(a, 1/2) sqrt(1 - x)) <= x^a for the x skipped
+    here, and mpmath's series does not converge that far below 1e-300.
+    """
+    with mpmath.workdps(50):
+        a = mpmath.mpf(df) / 2
+        x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+        if a * mpmath.log(x) < mpmath.log(mpmath.mpf("1e-305")):
+            return None
+        exact = mpmath.betainc(a, mpmath.mpf(1) / 2, 0, x, regularized=True)
+        return exact if exact >= mpmath.mpf("1e-300") else None
+
+
+class TestStudentTPValue:
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 18, 41, 186, 2000, 10**6])
+    def test_matches_mpmath_incomplete_beta(self, df):
+        checked = 0
+        for k in range(-32, 33):
+            t = 10.0 ** (k / 4)
+            exact = exact_two_sided_p(t, df)
+            if exact is None:
+                continue
+            _, p = t_test(t, 1.0, 0.0, df)
+            assert abs(p - exact) <= 1e-9 * exact, (df, t, p, exact)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 40, 10**6])
+    def test_zero_t_is_exactly_one(self, df):
+        assert t_test(0.25, 0.1, 0.25, df) == (0.0, 1.0)
+        # a t whose square underflows still gives 1
+        assert t_test(1e-160, 1.0, 0.0, df)[1] == 1.0
+
+    @pytest.mark.parametrize("df", [1, 3, 40, 10**6])
+    def test_infinite_or_huge_t_is_zero(self, df):
+        # estimate - null overflows to +-inf
+        assert t_test(1.5e308, 1.0, -1.5e308, df) == (math.inf, 0.0)
+        assert t_test(-1.5e308, 1.0, 1.5e308, df) == (-math.inf, 0.0)
+        # t^2 overflows, so df / (df + t^2) is 0
+        assert t_test(1e200, 1.0, 0.0, df)[1] == 0.0
+
+    def test_odd_in_t(self):
+        for df in (1, 2, 9, 186, 10**6):
+            for t in (1e-8, 0.3, 1.0, 2.5, 40.0, 8.4e15):
+                assert t_test(-t, 1.0, 0.0, df)[1] == t_test(t, 1.0, 0.0, df)[1]
+
+    @pytest.mark.parametrize("name", ["estimate", "se", "null", "df"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_arguments(self, name, value):
+        args = {"estimate": 1.0, "se": 1.0, "null": 0.0, "df": 10}
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            t_test(**args)
 
 
 class TestOlsFit:

@@ -10,6 +10,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,9 +146,26 @@ class TestAnalytic:
 
     def test_one_sigma_root_n_matches_erfc(self):
         # distance exactly sigma * sqrt(n): 2 * Phi(-1) = erfc(1 / sqrt(2))
-        p = analytic_barrier_probability(1.0, 0.01, 1.0 - 0.01 * math.sqrt(60), 60)
-        assert p == pytest.approx(math.erfc(1.0 / math.sqrt(2.0)), rel=1e-12)
+        barrier = 1.0 - 0.01 * math.sqrt(60)
+        p = analytic_barrier_probability(1.0, 0.01, barrier, 60)
+        assert p == math.erfc((1.0 - barrier) / (0.01 * math.sqrt(60)) / math.sqrt(2.0))
         assert p == pytest.approx(0.31731050786291415, rel=1e-10)
+
+    def test_matches_mpmath_two_phi(self):
+        checked = 0
+        with mpmath.workdps(50):
+            for sigma in (0.0007, 0.004, 0.013):
+                for n in (1, 2, 7, 60, 251):
+                    for u in np.geomspace(1e-6, 37.0, 40):
+                        barrier = 1.0 - float(u) * sigma * math.sqrt(n)
+                        if barrier < 0.5:
+                            continue
+                        p = analytic_barrier_probability(1.0, sigma, barrier, n)
+                        d = (1 - mpmath.mpf(barrier)) / (sigma * mpmath.sqrt(n))
+                        exact = 2 * mpmath.ncdf(-d)
+                        assert p == pytest.approx(float(exact), rel=1e-12, abs=1e-15)
+                        checked += 1
+        assert checked >= 300
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
