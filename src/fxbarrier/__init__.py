@@ -38,7 +38,6 @@ from .domain import (
     threshold_rate,
 )
 from .engine import (
-    SimulationParams,
     StepMode,
     VolatilityEstimate,
     analytic_barrier_probability,
@@ -78,7 +77,6 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "ScoreSeries",
-    "SimulationParams",
     "SnapshotEntry",
     "Source",
     "StepMode",

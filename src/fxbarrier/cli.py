@@ -9,10 +9,11 @@ from pathlib import Path
 
 from .calibration import align_series, ols_fit
 from .domain import QuoteDirection, Source, ThresholdKind, forecast_days, resolve
-from .engine import SimulationParams, StepMode, rolling_forecast
+from .engine import StepMode, rolling_forecast
 from .io import ingest_price_csv, parse_forecast_csv
 from .pipeline import (
     QuestionSpec,
+    check_retired,
     emit_report,
     format_regression,
     format_series,
@@ -73,10 +74,8 @@ def _build_question(args) -> tuple:
 
 def _cmd_forecast(args) -> int:
     series, question = _build_question(args)
-    params = SimulationParams(
-        seed=args.seed, n_paths=args.paths, step_mode=StepMode(args.step_mode)
-    )
-    forecast = rolling_forecast(series, question, params)
+    check_retired(seed=args.seed, n_paths=args.paths)
+    forecast = rolling_forecast(series, question, StepMode(args.step_mode))
     sys.stdout.write(format_series("p", forecast.points))
     return 0
 
@@ -146,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="print a rolling forecast for one question")
     _add_question_args(p)
-    p.add_argument("--seed", type=int, default=0, help="accepted for old scripts; no effect")
-    p.add_argument("--paths", type=int, default=10_000, help="accepted for old scripts; no effect")
+    p.add_argument("--seed", type=int, default=None, help="retired: checked, then ignored")
+    p.add_argument("--paths", type=int, default=None, help="retired: checked, then ignored")
     p.add_argument(
         "--step-mode",
         choices=[m.value for m in StepMode],
@@ -157,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="accepted for old scripts; no effect")
-    p.add_argument("--paths", type=int, default=None, help="accepted for old scripts; no effect")
+    p.add_argument("--seed", type=int, default=None, help="retired: checked, then ignored")
+    p.add_argument("--paths", type=int, default=None, help="retired: checked, then ignored")
     p.add_argument("--step-mode", choices=[m.value for m in StepMode], default=None)
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--workers", type=int, default=None, help="accepted for old scripts; no effect")
+    p.add_argument("--workers", type=int, default=None, help="retired: checked, then ignored")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("score", help="score an external forecast CSV against prices")

@@ -3,9 +3,11 @@
 The model is a driftless random walk on daily exchange-rate levels,
 x[t+1] = x[t] + e[t] with e[t] ~ Normal(0, sigma_h^2), where sigma_h is the
 sample standard deviation of historical daily increments. Forecasts are
-pseudo-out-of-sample: the estimate for day d uses price data up to d only.
-Each day's forecast is the closed-form first-passage probability
-2 * Phi(-d / (sigma_h sqrt(n))) (`analytic_barrier_probability`), with
+pseudo-out-of-sample: the estimate for day d uses price data up to d only,
+and a forecast reads nothing but the price series, the question and how
+remaining steps are counted (`StepMode`). Each day's forecast is the
+closed-form first-passage probability 2 * Phi(-d / (sigma_h sqrt(n)))
+(`analytic_barrier_probability`), with
 2 * Phi(-u) taken as the standard library's `math.erfc(u / sqrt(2))`; the
 bridge-corrected Monte Carlo (`simulate_barrier_probability`) estimates the
 same number without bias and is kept as the reference it is tested against:
@@ -50,31 +52,6 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
-
-
-@dataclass(frozen=True)
-class SimulationParams:
-    """Forecast settings. `rolling_forecast` reads only `step_mode`.
-
-    `seed` and `n_paths` set `simulate_barrier_probability`'s draws; they have
-    no effect on `rolling_forecast`, whose days use the closed form. The seed
-    defaults to 0, a fixed key, never entropy. Both must be integers (numpy
-    integers are accepted and stored as int); a float, even an integral one,
-    or a bool is rejected.
-    """
-
-    seed: int = 0
-    n_paths: int = 10_000
-    step_mode: StepMode = StepMode.TRADING_DAYS
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "step_mode", StepMode(self.step_mode))
-        for name in ("seed", "n_paths"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -146,21 +123,30 @@ def simulate_barrier_probability(
     sigma: float,
     barrier: float,
     n_steps: int,
-    params: SimulationParams,
+    *,
+    n_paths: int = 10_000,
+    seed: int = 0,
 ) -> float:
     """Probability that the simulated walk falls to `barrier` within `n_steps`.
 
     Returns exactly 1.0 when the start is already at or below the barrier and
     0.0 when the walk cannot move (zero volatility or no steps remaining).
-    Deterministic for fixed (seed, n_paths, inputs), on any thread. It
-    estimates `analytic_barrier_probability`, the forecast `rolling_forecast`
-    uses, without bias, and is the reference that forecast is tested against;
-    no forecast or report reads it. The result depends on x0, barrier and
-    sigma only through the float (x0 - barrier) / sigma, so negating both x0
-    and barrier is exact. Inputs equal only in decimal (up 0.15 from 1.0
-    versus down 0.15 from 1.0) round to different distances and can differ
-    at about 1e-16.
+    `n_paths` and `seed` must be integers (numpy integers pass; a float, even
+    an integral one, or a bool is rejected); the seed is a fixed Philox key,
+    never entropy. Deterministic for fixed (seed, n_paths, inputs), on any
+    thread. It estimates `analytic_barrier_probability`, the forecast
+    `rolling_forecast` uses, without bias, and is the reference that forecast
+    is tested against; no forecast or report reads it. The result depends on
+    x0, barrier and sigma only through the float (x0 - barrier) / sigma, so
+    negating both x0 and barrier is exact. Inputs equal only in decimal (up
+    0.15 from 1.0 versus down 0.15 from 1.0) round to different distances and
+    can differ at about 1e-16.
     """
+    seed, n_paths = as_integer("seed", seed), as_integer("n_paths", n_paths)
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if sigma < 0:
@@ -169,7 +155,7 @@ def simulate_barrier_probability(
         return 1.0
     if sigma == 0.0 or n_steps == 0:
         return 0.0
-    return _crossing_probability((x0 - barrier) / sigma, int(n_steps), params.n_paths, params.seed)
+    return _crossing_probability((x0 - barrier) / sigma, int(n_steps), n_paths, seed)
 
 
 def analytic_barrier_probability(
@@ -210,24 +196,23 @@ def remaining_steps(date: dt.date, close_date: dt.date, step_mode: StepMode) -> 
 
 
 def rolling_forecast(
-    series: PriceSeries, question: Question, params: SimulationParams
+    series: PriceSeries, question: Question, step_mode: StepMode = StepMode.TRADING_DAYS
 ) -> ForecastSeries:
     """Pseudo-out-of-sample barrier forecasts for every observed day.
 
     For each observed date d from the question's scoring start up to (but not
     including) its resolve date: volatility is re-estimated from data up to d,
-    the remaining steps to close are counted under `params.step_mode`, and the
+    the remaining steps to close are counted under `step_mode`, and the
     crossing probability from the day-d close is the closed form
     `analytic_barrier_probability`, so a forecast depends only on information
-    available on that day. `params.seed` and `params.n_paths` are not read.
-    The days are found by bisect on `series.dates`, and their steps are
-    counted in one call.
+    available on that day. The days are found by bisect on `series.dates`,
+    and their steps are counted in one call.
     """
     resolution = resolve(series, question)
     # the observed days among forecast_days(question, resolution)
     lo = bisect_left(series.dates, question.scoring_start)
     hi = bisect_left(series.dates, resolution.resolve_date)
-    steps = _steps_to_close(series.dates[lo:hi], question.close_date, params.step_mode)
+    steps = _steps_to_close(series.dates[lo:hi], question.close_date, step_mode)
     sign = series.quote_direction.sign
     barrier = sign * barrier_rate(question, series.quote_direction)
     days = []

@@ -2,8 +2,7 @@
 
 The run configuration is a single declarative JSON file; all paths inside it
 resolve relative to the file's directory. Questions run in question-id order
-on the calling thread, so report files are byte-identical across reruns,
-whatever `workers` says.
+on the calling thread, so report files are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .domain import (
     forecast_days,
     resolve,
 )
-from .engine import SimulationParams, as_integer, rolling_forecast
+from .engine import StepMode, rolling_forecast
 from .io import ingest_price_csv, load_consensus_csv
 from .scoring import MeanScoreCurve, mean_score_curve, score_series
 
@@ -104,22 +103,17 @@ class QuestionSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A whole run. `workers` has no effect; it is still checked (an integer
-    of at least 1, as `SimulationParams.n_paths` is) so existing configs load."""
+    """A whole run: its inputs, how forecast steps are counted, and where to write."""
 
     price_files: tuple[PriceFileSpec, ...]
     questions: tuple[QuestionSpec, ...]
-    sim: SimulationParams
+    step_mode: StepMode = StepMode.TRADING_DAYS
     consensus: ConsensusParams = ConsensusParams()
     crowd_file: Path | None = None
     external_consensus_file: Path | None = None
     output_dir: Path = Path("out")
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", as_integer("workers", self.workers))
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         pairs = [p.pair_id for p in self.price_files]
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate pair_id in price_files")
@@ -141,7 +135,11 @@ class RunConfig:
                 )
 
 
-_OVERRIDES = {"seed", "n_paths", "step_mode", "output_dir", "workers"}
+# Inputs that once set the Monte Carlo forecast and the question threads.
+# They change no output now, but configs and scripts still pass them, so they
+# are checked as they were (`check_retired`), then dropped.
+_RETIRED = ("seed", "n_paths", "workers")
+_OVERRIDES = {*_RETIRED, "step_mode", "output_dir"}
 
 # The JSON type each field type is read from, and its name for errors; any
 # other field type (str, an enum, a date, a path) is read from a string.
@@ -177,20 +175,20 @@ def _read(hint, value, where: str, key: str, base: Path):
         raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from exc
 
 
-def _build(cls, entry, where: str, base: Path, **given):
+def _build(cls, entry, where: str, base: Path):
     """The dataclass `cls` read from the JSON object `entry` at `where`.
 
-    Keys are field names, other than the fields `given` already built. An
-    absent or null key takes the field's default; paths resolve against `base`.
+    Keys are field names. An absent or null key takes the field's default;
+    paths resolve against `base`.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {reprlib.repr(entry)}")
     hints = typing.get_type_hints(cls)
-    todo = [f for f in fields(cls) if f.name not in given]
-    unknown = sorted(set(entry) - {f.name for f in todo})
+    unknown = sorted(set(entry) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{where}: unknown fields {unknown}")
-    for f in todo:
+    given = {}
+    for f in fields(cls):
         if entry.get(f.name) is not None:
             given[f.name] = _read(hints[f.name], entry[f.name], where, f.name, base)
         elif f.default is MISSING:
@@ -201,13 +199,30 @@ def _build(cls, entry, where: str, base: Path, **given):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def check_retired(
+    seed: int | None = None, n_paths: int | None = None, workers: int | None = None
+) -> None:
+    """Reject a retired input that breaks the rule it had when it was read.
+
+    Each value is an int, or None for absent. The rules run n_paths, seed,
+    workers, so inputs with several faults name the one they always named.
+    """
+    if n_paths is not None and n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if seed is not None and not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
 def load_config(path: str | Path, **overrides) -> RunConfig:
     """Parse a JSON run configuration.
 
-    The top-level keys are the fields of RunConfig (other than sim) and of
-    SimulationParams. Recognised overrides: seed, n_paths, step_mode,
-    output_dir, workers; an override of None counts as absent, and any other
-    name is a TypeError. No forecast reads the seed (see `SimulationParams`).
+    The top-level keys are the fields of RunConfig, plus the retired keys
+    seed, n_paths and workers: each must still be an integer that meets
+    `check_retired`'s rule, and none changes the run. Recognised overrides:
+    seed, n_paths, step_mode, output_dir, workers; an override of None counts
+    as absent, and any other name is a TypeError.
     """
     unknown = sorted(set(overrides) - _OVERRIDES)
     if unknown:
@@ -223,11 +238,14 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     raw.update((k, v) for k, v in overrides.items() if v is not None)
     if raw.get("output_dir") is None:  # beside the config, not the working directory
         raw["output_dir"] = RunConfig.output_dir
-    sim_keys = {f.name for f in fields(SimulationParams)}
-    sim = {k: v for k, v in raw.items() if k in sim_keys}
-    rest = {k: v for k, v in raw.items() if k not in sim_keys}
     where, base = str(path), path.parent
-    return _build(RunConfig, rest, where, base, sim=_build(SimulationParams, sim, where, base))
+    retired = {k: raw.pop(k) for k in _RETIRED if k in raw}
+    retired = {k: _read(int, v, where, k, base) for k, v in retired.items() if v is not None}
+    try:
+        check_retired(**retired)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    return _build(RunConfig, raw, where, base)
 
 
 @dataclass
@@ -259,7 +277,7 @@ def _run_question(
     prices: dict[str, PriceSeries],
     crowd_records: list[CrowdRecord],
     external: dict[str, ForecastSeries],
-    sim: SimulationParams,
+    step_mode: StepMode,
     consensus: ConsensusParams,
 ) -> QuestionResult:
     """One question's resolution, forecasts and scores; `crowd_records` are its own.
@@ -271,7 +289,7 @@ def _run_question(
     resolution = resolve(series, question)
     forecasts: dict[Source, ForecastSeries] = {}
     if not spec.non_floating:
-        forecasts[Source.RANDOM_WALK] = rolling_forecast(series, question, sim)
+        forecasts[Source.RANDOM_WALK] = rolling_forecast(series, question, step_mode)
     days = forecast_days(question, resolution)
     if spec.question_id in external:
         ext = external[spec.question_id]
@@ -296,8 +314,8 @@ def run_pipeline(config: RunConfig) -> RunReport:
     """Resolve, forecast, score, and calibrate every configured question.
 
     Questions run in id order on the calling thread; a failure is recorded
-    in the report, not raised, unless every question fails. Results depend
-    on neither the config's order of questions or price files nor `workers`.
+    in the report, not raised, unless every question fails. Results do not
+    depend on the config's order of questions or price files.
     External consensus points outside their question's window are dropped
     with a warning, as `fxbarrier score` drops them.
     """
@@ -342,7 +360,7 @@ def run_pipeline(config: RunConfig) -> RunReport:
         try:
             crowd = crowd_by_question.get(spec.question_id, [])
             results[spec.question_id] = _run_question(
-                spec, prices, crowd, external, config.sim, config.consensus
+                spec, prices, crowd, external, config.step_mode, config.consensus
             )
         except ValueError as exc:
             errors[spec.question_id] = str(exc)

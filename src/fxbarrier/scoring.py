@@ -47,15 +47,14 @@ class MeanScoreCurve:
         return tuple(d for d, _, _ in self.points)
 
 
-def mean_score_curve(
-    scores: Iterable[ScoreSeries], calendar: Iterable[dt.date] | None = None
-) -> MeanScoreCurve:
+def mean_score_curve(scores: Iterable[ScoreSeries]) -> MeanScoreCurve:
     """Average the given score series date by date.
 
-    At each date the mean runs over exactly the questions that have a score
-    that day, so resolved questions drop out after their resolve date and the
-    open-question count is recorded alongside. Dates with no contributing
-    question are omitted. All series must share one source.
+    The curve has a point on every date any series scores. At each date the
+    mean runs over exactly the questions that have a score that day, so
+    resolved questions drop out after their resolve date and the
+    open-question count is recorded alongside. All series must share one
+    source.
     """
     series = list(scores)
     if not series:
@@ -64,13 +63,8 @@ def mean_score_curve(
     if len(sources) > 1:
         raise ValueError(f"mixed sources: {sorted(s.value for s in sources)}")
     maps = [dict(s.points) for s in series]
-    if calendar is None:
-        dates = sorted({d for m in maps for d in m})
-    else:
-        dates = sorted(set(calendar))
     points = []
-    for d in dates:
+    for d in sorted({d for m in maps for d in m}):
         vals = [m[d] for m in maps if d in m]
-        if vals:
-            points.append((d, sum(vals) / len(vals), len(vals)))
+        points.append((d, sum(vals) / len(vals), len(vals)))
     return MeanScoreCurve(sources.pop(), tuple(points))

@@ -7,6 +7,7 @@ carries the measured numbers so a failure is self-explanatory.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 import subprocess
 import sys
@@ -45,9 +46,11 @@ def bernstein_tolerance(p: float, n_paths: int) -> float:
 
 
 def golden_random_walk_days():
-    """(x0, sigma, barrier, n_steps, emitted p) for each golden random-walk day."""
+    """The golden config's Monte Carlo settings, and (x0, sigma, barrier,
+    n_steps, emitted p) for each golden random-walk day."""
     golden = Path(__file__).parent / "data" / "golden_run"
     config = fx.load_config(golden / "config.json")
+    raw = json.loads((golden / "config.json").read_text(encoding="utf-8"))
     files = {pf.pair_id: pf for pf in config.price_files}
     days = []
     for spec in config.questions:
@@ -62,20 +65,20 @@ def golden_random_walk_days():
         barrier = sign * fx.barrier_rate(question, series.quote_direction)
         for d, p in fx.parse_forecast_csv(emitted, spec.question_id).points:
             sigma = fx.estimate_volatility(series, d).sigma_h
-            n_steps = fx.remaining_steps(d, question.close_date, config.sim.step_mode)
+            n_steps = fx.remaining_steps(d, question.close_date, config.step_mode)
             days.append((sign * series.rate_on(d), sigma, barrier, n_steps, p))
-    return config.sim, days
+    return {"seed": raw["seed"], "n_paths": raw["n_paths"]}, days
 
 
 def test_criterion_2_monte_carlo_vs_analytic():
-    params = fx.SimulationParams(seed=20260809, n_paths=100_000)
+    params = {"seed": 20260809, "n_paths": 100_000}
     sigma = 0.01
     ratios = [0.1 + i * (3.0 - 0.1) / 4 for i in range(5)]
     worst = (0.0, None)
     for ratio in ratios:
         for n_steps in (5, 20, 60, 120, 250):
             barrier = 1.0 - ratio * sigma * math.sqrt(n_steps)
-            sim = fx.simulate_barrier_probability(1.0, sigma, barrier, n_steps, params)
+            sim = fx.simulate_barrier_probability(1.0, sigma, barrier, n_steps, **params)
             ana = fx.analytic_barrier_probability(1.0, sigma, barrier, n_steps)
             err = abs(sim - ana)
             if err > worst[0]:
@@ -87,8 +90,8 @@ def test_criterion_2_monte_carlo_vs_analytic():
     outside = [
         (x0, sigma_h, barrier, n_steps, p)
         for x0, sigma_h, barrier, n_steps, p in days
-        if abs(fx.simulate_barrier_probability(x0, sigma_h, barrier, n_steps, sim_params) - p)
-        > bernstein_tolerance(p, sim_params.n_paths) + 1e-6
+        if abs(fx.simulate_barrier_probability(x0, sigma_h, barrier, n_steps, **sim_params) - p)
+        > bernstein_tolerance(p, sim_params["n_paths"]) + 1e-6
     ]
     ok = worst[0] <= 0.015 and len(days) == 188 and not outside
     report_line(2, "monte carlo vs analytic grid and golden days", ok)
@@ -230,8 +233,7 @@ def test_criterion_8_pseudo_out_of_sample_guarantee():
         threshold_kind="relative_depreciation",
         threshold_value=0.05,
     )
-    params = fx.SimulationParams(seed=88, n_paths=1_000)
-    base = dict(fx.rolling_forecast(series, question, params).points)
+    base = dict(fx.rolling_forecast(series, question).points)
     rng = np.random.default_rng(80)
     ok = True
     for _ in range(10):
@@ -240,7 +242,7 @@ def test_criterion_8_pseudo_out_of_sample_guarantee():
         d, r = points[idx]
         points[idx] = (d, r * float(rng.uniform(0.85, 1.15)))
         mutated = fx.PriceSeries(series.pair_id, tuple(points))
-        got = dict(fx.rolling_forecast(mutated, question, params).points)
+        got = dict(fx.rolling_forecast(mutated, question).points)
         check = series.dates[idx - 1]
         same = got[check] == base[check]
         ok = ok and same
@@ -270,9 +272,7 @@ def test_criterion_9_end_to_end_statistical_sanity():
             threshold,
         )
         resolution = fx.resolve(series, question)
-        forecast = fx.rolling_forecast(
-            series, question, fx.SimulationParams(seed=777 + i, n_paths=1_000)
-        )
+        forecast = fx.rolling_forecast(series, question)
         scores = fx.score_series(forecast, resolution)
         squared = fx.ForecastSeries(
             question.question_id, "random_walk", tuple((d, p * p) for d, p in forecast.points)

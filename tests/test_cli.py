@@ -11,7 +11,6 @@ import pytest
 
 from fxbarrier import (
     Question,
-    SimulationParams,
     ingest_price_csv,
     resolve,
     rolling_forecast,
@@ -67,18 +66,10 @@ class TestForecast:
             threshold_kind="relative_depreciation",
             threshold_value=0.05,
         )
-        expected = rolling_forecast(series, question, SimulationParams(seed=5, n_paths=800))
+        expected = rolling_forecast(series, question)
         assert len(lines) - 1 == len(expected)
         for line, (d, p) in zip(lines[1:], expected.points):
             assert line == f"{d.isoformat()},{p:.6f}"
-
-    def test_seed_is_required(self, price_csv):
-        # the name is kept from when --seed was required; it has no effect,
-        # so leaving it out prints the same bytes
-        args = ("forecast", *question_args(price_csv))
-        without = run_cli(*args)
-        assert without.returncode == 0, without.stderr
-        assert without.stdout == run_cli(*args, "--seed", "5").stdout
 
     def test_deterministic_output(self, price_csv):
         args = ("forecast", *question_args(price_csv), "--seed", "5", "--paths", "500")
@@ -136,22 +127,6 @@ class TestRun:
             proc = run_cli("run", "--config", str(path))
             assert proc.returncode == 2
             assert proc.stderr.startswith("error:") and message in proc.stderr
-
-    def test_seed_override_changes_output(self, tmp_path):
-        # the name is kept from the Monte Carlo forecast; now neither --seed
-        # nor --paths changes any byte of the report
-        config = build_config(tmp_path, n_paths=400)
-
-        def run(name, *overrides):
-            out = tmp_path / name
-            proc = run_cli("run", "--config", str(config), "--out", str(out), *overrides)
-            assert proc.returncode == 0, proc.stderr
-            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-        base = run("a")
-        assert "forecast_q-flt_random_walk.csv" in base
-        assert run("b", "--seed", "999") == base
-        assert run("c", "--paths", "7") == base
 
 
 class TestScore:

@@ -21,7 +21,6 @@ from fxbarrier import (
     PriceSeries,
     Question,
     QuoteDirection,
-    SimulationParams,
     StepMode,
     analytic_barrier_probability,
     barrier_rate,
@@ -172,58 +171,57 @@ class TestAnalytic:
             analytic_barrier_probability(1.0, 0.01, 0.85, -1)
 
 
-PARAMS = SimulationParams(seed=99, n_paths=20_000)
-PARAMS_MONO = SimulationParams(seed=99, n_paths=100_000)
+PARAMS = {"seed": 99, "n_paths": 20_000}
+PARAMS_MONO = {"seed": 99, "n_paths": 100_000}
 
 
 class TestSimulate:
     def test_already_at_barrier_is_exactly_one(self):
-        assert simulate_barrier_probability(0.80, 0.01, 0.85, 60, PARAMS) == 1.0
-        assert simulate_barrier_probability(0.85, 0.0, 0.85, 0, PARAMS) == 1.0
+        assert simulate_barrier_probability(0.80, 0.01, 0.85, 60, **PARAMS) == 1.0
+        assert simulate_barrier_probability(0.85, 0.0, 0.85, 0, **PARAMS) == 1.0
 
     def test_no_movement_is_exactly_zero(self):
-        assert simulate_barrier_probability(1.0, 0.0, 0.85, 60, PARAMS) == 0.0
-        assert simulate_barrier_probability(1.0, 0.01, 0.85, 0, PARAMS) == 0.0
+        assert simulate_barrier_probability(1.0, 0.0, 0.85, 60, **PARAMS) == 0.0
+        assert simulate_barrier_probability(1.0, 0.01, 0.85, 0, **PARAMS) == 0.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            simulate_barrier_probability(1.0, 0.01, 0.85, -1, PARAMS)
+            simulate_barrier_probability(1.0, 0.01, 0.85, -1, **PARAMS)
         with pytest.raises(ValueError):
-            simulate_barrier_probability(1.0, -0.01, 0.85, 5, PARAMS)
+            simulate_barrier_probability(1.0, -0.01, 0.85, 5, **PARAMS)
         with pytest.raises(ValueError):
-            SimulationParams(seed=1, n_paths=0)
+            simulate_barrier_probability(1.0, 0.01, 0.85, 5, seed=1, n_paths=0)
         with pytest.raises(ValueError):
-            SimulationParams(seed=-1)
+            simulate_barrier_probability(1.0, 0.01, 0.85, 5, seed=-1)
 
     @pytest.mark.parametrize("field", ["seed", "n_paths"])
     @pytest.mark.parametrize("value", [7.9, 7.0, True])
     def test_params_reject_floats_and_bools(self, field, value):
         kwargs = {"seed": 1, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
-            SimulationParams(**kwargs)
+            simulate_barrier_probability(1.0, 0.01, 0.85, 5, **kwargs)
 
     def test_params_accept_numpy_integers_as_int(self):
-        params = SimulationParams(seed=np.int64(5), n_paths=np.int64(5))
-        assert params == SimulationParams(seed=5, n_paths=5)
-        assert type(params.seed) is int and type(params.n_paths) is int
+        def p(seed, n_paths):
+            return simulate_barrier_probability(1.0, 0.01, 0.9, 5, seed=seed, n_paths=n_paths)
+
+        assert p(np.int64(5), np.uint64(5)) == p(5, 5)
         with pytest.raises(ValueError, match="^n_paths must be at least 1$"):
-            SimulationParams(seed=1, n_paths=np.int64(0))
+            p(1, np.int64(0))
         with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
-            SimulationParams(seed=np.int64(-1))
+            p(np.int64(-1), 5)
 
     def test_deterministic_given_seed(self):
-        a = simulate_barrier_probability(1.0, 0.01, 0.85, 60, PARAMS)
-        b = simulate_barrier_probability(1.0, 0.01, 0.85, 60, PARAMS)
+        a = simulate_barrier_probability(1.0, 0.01, 0.85, 60, **PARAMS)
+        b = simulate_barrier_probability(1.0, 0.01, 0.85, 60, **PARAMS)
         assert a == b
-        c = simulate_barrier_probability(
-            1.0, 0.01, 0.85, 60, SimulationParams(seed=100, n_paths=20_000)
-        )
+        c = simulate_barrier_probability(1.0, 0.01, 0.85, 60, seed=100, n_paths=20_000)
         assert a != c
 
     def test_matches_analytic_on_engine_example(self):
-        sim = simulate_barrier_probability(1.0, 0.01, 0.85, 60, PARAMS)
+        sim = simulate_barrier_probability(1.0, 0.01, 0.85, 60, **PARAMS)
         ana = analytic_barrier_probability(1.0, 0.01, 0.85, 60)
-        se = math.sqrt(max(sim * (1 - sim), 1e-6) / PARAMS.n_paths)
+        se = math.sqrt(max(sim * (1 - sim), 1e-6) / PARAMS["n_paths"])
         assert abs(sim - ana) <= 3 * se + 0.01
 
     def test_agreement_across_ratio_grid(self):
@@ -231,28 +229,28 @@ class TestSimulate:
         for ratio in (0.5, 1.5, 2.5):
             for n_steps in (5, 60):
                 barrier = 1.0 - ratio * sigma * math.sqrt(n_steps)
-                sim = simulate_barrier_probability(1.0, sigma, barrier, n_steps, PARAMS)
+                sim = simulate_barrier_probability(1.0, sigma, barrier, n_steps, **PARAMS)
                 ana = analytic_barrier_probability(1.0, sigma, barrier, n_steps)
-                se = math.sqrt(max(sim * (1 - sim), 1e-6) / PARAMS.n_paths)
+                se = math.sqrt(max(sim * (1 - sim), 1e-6) / PARAMS["n_paths"])
                 assert abs(sim - ana) <= 3 * se + 0.01, (ratio, n_steps)
 
     def test_monotone_in_sigma_at_fixed_seed(self):
         probs = [
-            simulate_barrier_probability(1.0, s, 0.9, 40, PARAMS_MONO)
+            simulate_barrier_probability(1.0, s, 0.9, 40, **PARAMS_MONO)
             for s in (0.002, 0.005, 0.01, 0.02, 0.05)
         ]
         assert probs == sorted(probs)
 
     def test_monotone_in_barrier_distance_at_fixed_seed(self):
         probs = [
-            simulate_barrier_probability(1.0, 0.01, 1.0 - gap, 40, PARAMS_MONO)
+            simulate_barrier_probability(1.0, 0.01, 1.0 - gap, 40, **PARAMS_MONO)
             for gap in (0.02, 0.05, 0.1, 0.2)
         ]
         assert probs == sorted(probs, reverse=True)
 
     def test_monotone_in_steps(self):
         probs = [
-            simulate_barrier_probability(1.0, 0.01, 0.95, n, PARAMS_MONO)
+            simulate_barrier_probability(1.0, 0.01, 0.95, n, **PARAMS_MONO)
             for n in (5, 20, 60, 120, 250)
         ]
         assert probs == sorted(probs)
@@ -261,12 +259,12 @@ class TestSimulate:
         # The engine sees only the float (x0 - barrier) / sigma, and 1.15 and 0.85
         # round differently in binary, so up 0.15 from 1.0 and down 0.15 from 1.0
         # are distances 6 ulp apart (14.999999999999991 vs 15.000000000000002).
-        up = simulate_barrier_probability(-1.0, 0.01, -1.15, 60, PARAMS)
-        down = simulate_barrier_probability(1.0, 0.01, 0.85, 60, PARAMS)
+        up = simulate_barrier_probability(-1.0, 0.01, -1.15, 60, **PARAMS)
+        down = simulate_barrier_probability(1.0, 0.01, 0.85, 60, **PARAMS)
         # Negating both operands, as rolling_forecast does for ccy_per_usd, is
         # exact: (-a) - (-b) == b - a, so the mirror must hold bit for bit.
-        assert up == simulate_barrier_probability(1.15, 0.01, 1.0, 60, PARAMS)
-        assert simulate_barrier_probability(-0.85, 0.01, -1.0, 60, PARAMS) == down
+        assert up == simulate_barrier_probability(1.15, 0.01, 1.0, 60, **PARAMS)
+        assert simulate_barrier_probability(-0.85, 0.01, -1.0, 60, **PARAMS) == down
         # The decimal pair differs by ~1.1e-14 in d, and |dp/dd| ~ 0.016 here,
         # so the gap is ~2e-16; a sign or mirror bug would move p by the Monte
         # Carlo standard error (~1.6e-3 at 20k paths), far outside rel=1e-12.
@@ -274,7 +272,7 @@ class TestSimulate:
 
     def test_negative_levels_can_cross(self):
         # arithmetic walk: barriers below zero remain reachable
-        p = simulate_barrier_probability(0.02, 0.05, -0.05, 30, PARAMS)
+        p = simulate_barrier_probability(0.02, 0.05, -0.05, 30, **PARAMS)
         ana = analytic_barrier_probability(0.02, 0.05, -0.05, 30)
         assert p > 0.2
         assert abs(p - ana) < 0.02
@@ -306,8 +304,8 @@ class TestKernel:
             p = engine_mod._crossing_probability(*case)
             assert abs(p - reference_crossing_probability(*case)) <= 1e-15, case
         # the public entry point passes (x0 - barrier) / sigma, a few ulp from 10.0
-        p = simulate_barrier_probability(1.0, 0.01, 0.9, 60, PARAMS)
-        ref = reference_crossing_probability((1.0 - 0.9) / 0.01, 60, PARAMS.n_paths, PARAMS.seed)
+        p = simulate_barrier_probability(1.0, 0.01, 0.9, 60, **PARAMS)
+        ref = reference_crossing_probability((1.0 - 0.9) / 0.01, 60, PARAMS["n_paths"], PARAMS["seed"])
         assert abs(p - ref) <= 1e-15
 
     def test_pool_threads_match_calls_in_turn(self):
@@ -410,24 +408,14 @@ def make_ccy_per_usd_fixture(n=80):
 class TestRollingForecast:
     def test_bit_identical_reruns(self):
         series, question = make_fixture()
-        params = SimulationParams(seed=17, n_paths=2_000)
-        a = rolling_forecast(series, question, params)
-        b = rolling_forecast(series, question, params)
+        a = rolling_forecast(series, question)
+        b = rolling_forecast(series, question)
         assert a == b
-
-    def test_different_seeds_differ(self):
-        # the name is kept from the Monte Carlo forecast; now neither the seed
-        # nor the path count changes any day
-        series, question = make_fixture()
-        a = rolling_forecast(series, question, SimulationParams(seed=17, n_paths=2_000))
-        b = rolling_forecast(series, question, SimulationParams(seed=18, n_paths=2_000))
-        c = rolling_forecast(series, question, SimulationParams(seed=17, n_paths=3))
-        assert a == b == c
 
     def test_ends_strictly_before_resolution(self):
         series, question = make_fixture(seed=8, sigma=0.02)
         res = resolve(series, question)
-        forecast = rolling_forecast(series, question, SimulationParams(seed=1, n_paths=500))
+        forecast = rolling_forecast(series, question)
         assert all(d < res.resolve_date for d in forecast.dates)
         assert forecast.dates[0] == question.open_date
 
@@ -437,7 +425,7 @@ class TestRollingForecast:
             start = series.dates[10] + dt.timedelta(days=seed % 4)  # weekends too
             question = dataclasses.replace(question, scoring_start_date=start)
             days = forecast_days(question, resolve(series, question))
-            forecast = rolling_forecast(series, question, SimulationParams(seed=1, n_paths=50))
+            forecast = rolling_forecast(series, question)
             assert forecast.dates == tuple(d for d in series.dates if d in days)
 
     def test_scoring_start_trims_early_dates(self):
@@ -452,15 +440,14 @@ class TestRollingForecast:
             threshold_value=question.threshold_value,
             scoring_start_date=series.dates[20],
         )
-        full = rolling_forecast(series, question, SimulationParams(seed=1, n_paths=500))
-        trimmed = rolling_forecast(series, late, SimulationParams(seed=1, n_paths=500))
+        full = rolling_forecast(series, question)
+        trimmed = rolling_forecast(series, late)
         assert trimmed.dates[0] == series.dates[20]
         assert dict(full.points)[series.dates[20]] == dict(trimmed.points)[series.dates[20]]
 
     def test_pseudo_out_of_sample(self):
         series, question = make_fixture()
-        params = SimulationParams(seed=23, n_paths=1_000)
-        base = dict(rolling_forecast(series, question, params).points)
+        base = dict(rolling_forecast(series, question).points)
         rng = np.random.default_rng(0)
         for _ in range(5):
             idx = int(rng.integers(20, len(series) - 1))
@@ -468,18 +455,17 @@ class TestRollingForecast:
             d, r = mutated_points[idx]
             mutated_points[idx] = (d, r * float(rng.uniform(0.9, 1.1)))
             mutated = PriceSeries(series.pair_id, tuple(mutated_points))
-            got = dict(rolling_forecast(mutated, question, params).points)
+            got = dict(rolling_forecast(mutated, question).points)
             check_date = series.dates[idx - 1]
             assert got[check_date] == base[check_date]
 
     def test_tracks_analytic_oracle(self):
         series, question = make_fixture()
-        params = SimulationParams(seed=5, n_paths=8_000)
-        forecast = rolling_forecast(series, question, params)
+        forecast = rolling_forecast(series, question)
         barrier = question.baseline_rate * 0.95
         for d, p in forecast.points:
             vol = estimate_volatility(series, d)
-            steps = remaining_steps(d, question.close_date, params.step_mode)
+            steps = remaining_steps(d, question.close_date, StepMode.TRADING_DAYS)
             ana = analytic_barrier_probability(series.rate_on(d), vol.sigma_h, barrier, steps)
             assert abs(p - ana) <= 0.02, d
 
@@ -495,18 +481,12 @@ class TestRollingForecast:
             threshold_value=0.05,
         )
         with pytest.raises(ValueError, match="insufficient history"):
-            rolling_forecast(series, early, SimulationParams(seed=1, n_paths=200))
+            rolling_forecast(series, early)
 
     def test_calendar_steps_raise_mid_range_probabilities(self):
         series, question = make_fixture()
-        trading = rolling_forecast(
-            series, question, SimulationParams(seed=9, n_paths=3_000)
-        )
-        calendar = rolling_forecast(
-            series,
-            question,
-            SimulationParams(seed=9, n_paths=3_000, step_mode="calendar_days"),
-        )
+        trading = rolling_forecast(series, question)
+        calendar = rolling_forecast(series, question, StepMode.CALENDAR_DAYS)
         assert trading.dates == calendar.dates
         # weekends add steps, so mid-range crossing probabilities move up
         mid = [
@@ -532,18 +512,17 @@ class TestRollingForecast:
             scoring_start_date=dates[5],
         )
         assert resolve(series, question).resolve_date == dates[3]
-        forecast = rolling_forecast(series, question, SimulationParams(seed=2, n_paths=200))
+        forecast = rolling_forecast(series, question)
         assert len(forecast) == 0
 
     def test_ccy_per_usd_tracks_mirrored_analytic(self):
         series, question = make_ccy_per_usd_fixture(n=50)
-        params = SimulationParams(seed=44, n_paths=8_000)
-        forecast = rolling_forecast(series, question, params)
+        forecast = rolling_forecast(series, question)
         assert len(forecast)
         barrier = question.baseline_rate / 0.95
         for d, p in forecast.points:
             vol = estimate_volatility(series, d)
-            steps = remaining_steps(d, question.close_date, params.step_mode)
+            steps = remaining_steps(d, question.close_date, StepMode.TRADING_DAYS)
             ana = analytic_barrier_probability(-series.rate_on(d), vol.sigma_h, -barrier, steps)
             assert abs(p - ana) <= 0.02, d
 
@@ -553,7 +532,6 @@ class TestClosedFormForecast:
     @pytest.mark.parametrize("step_mode", list(StepMode))
     def test_each_day_is_the_closed_form_of_its_own_inputs(self, fixture, step_mode):
         series, question = fixture(n=80)
-        params = SimulationParams(seed=1, step_mode=step_mode)
         resolve_date = resolve(series, question).resolve_date
         sign = series.quote_direction.sign
         barrier = barrier_rate(question, series.quote_direction)
@@ -565,7 +543,7 @@ class TestClosedFormForecast:
                 p = analytic_barrier_probability(sign * rate, sigma, sign * barrier, n_steps)
                 expected.append((d, p))
         assert len(expected) > 20
-        assert rolling_forecast(series, question, params).points == tuple(expected)
+        assert rolling_forecast(series, question, step_mode).points == tuple(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -579,13 +557,12 @@ class TestClosedFormForecast:
         dates = weekday_dates(D(2022, 1, 3), 60)
         rates = (1.0 + np.cumsum(rng.normal(0.0, 0.01, 60))).clip(0.05)
         series = PriceSeries("EURUSD", tuple(zip(dates, rates.tolist())), direction)
-        params = SimulationParams(seed=1, step_mode=step_mode)
         near, far = (
             rolling_forecast(
                 series,
                 Question("q", "EURUSD", dates[10], dates[-1], float(rates[10]),
                          "relative_depreciation", threshold),
-                params,
+                step_mode,
             ).points
             for threshold in sorted(thresholds)
         )
@@ -610,12 +587,11 @@ class TestClosedFormForecast:
         ticks = 2**20 + np.cumsum(rng.integers(-2**13, 2**13, 60))
         rates = [int(k) / 2**20 for k in ticks]
         level = (int(ticks[10]) - gap) / 2**20
-        params = SimulationParams(seed=1, step_mode=step_mode)
 
         def forecast(direction, rates, level):
             series = PriceSeries("X", tuple(zip(dates, rates)), direction)
             question = Question("q", "X", dates[10], dates[-1], rates[10], "absolute_level", level)
-            return rolling_forecast(series, question, params)
+            return rolling_forecast(series, question, step_mode)
 
         down = forecast(QuoteDirection.USD_PER_CCY, rates, level)
         up = forecast(QuoteDirection.CCY_PER_USD, [4.0 - r for r in rates], 4.0 - level)

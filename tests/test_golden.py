@@ -87,7 +87,7 @@ def test_random_walk_forecasts_track_analytic(golden_report):
             sign = 1.0
         for d, p in fs.points:
             sigma = estimate_volatility(series, d).sigma_h
-            steps = remaining_steps(d, spec.close_date, config.sim.step_mode)
+            steps = remaining_steps(d, spec.close_date, config.step_mode)
             ana = analytic_barrier_probability(
                 sign * series.rate_on(d), sigma, sign * barrier, steps
             )

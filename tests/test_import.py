@@ -1,4 +1,7 @@
-"""What `import fxbarrier` loads and starts, checked in a fresh interpreter."""
+"""What `import fxbarrier` loads, starts and exports.
+
+What it loads and starts is checked in a fresh interpreter.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -49,3 +53,14 @@ def test_import_starts_no_thread():
 
 def test_preset_openblas_threads_are_kept():
     assert probe(OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
+
+
+def test_all_names_every_public_attribute():
+    import fxbarrier
+
+    public = {
+        name
+        for name, value in vars(fxbarrier).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(fxbarrier.__all__) == public

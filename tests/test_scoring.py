@@ -128,12 +128,6 @@ class TestMeanScoreCurve:
         assert curve.points[1] == (dates[1], pytest.approx(0.1), 1)
         assert curve.points[2] == (dates[2], pytest.approx(0.1), 1)
 
-    def test_calendar_restricts_dates(self):
-        dates = weekday_dates(D(2022, 6, 1), 4)
-        a = score("a", dates, [0.1, 0.2, 0.3, 0.4])
-        curve = mean_score_curve([a], calendar=dates[1:3])
-        assert curve.dates == tuple(dates[1:3])
-
     def test_mean_within_contributing_bounds(self):
         rng = np.random.default_rng(4)
         dates = weekday_dates(D(2022, 6, 1), 20)
