@@ -7,11 +7,6 @@ number as a reference), scores forecasts with the Brier rule, aggregates
 individual crowd forecasts, and calibrates one method against another by OLS.
 """
 
-import os
-
-# fxbarrier makes no BLAS call, so numpy's OpenBLAS needs no worker thread.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .calibration import PairedSample, RegressionResult, align_series, ols_fit, t_test
 from .crowd import (
     ConsensusMethod,

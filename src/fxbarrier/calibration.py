@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .domain import ForecastSeries
 
 
@@ -176,19 +174,19 @@ def ols_fit(
     n = len(data)
     if n < 3:
         raise ValueError(f"need at least 3 samples, have {n}")
-    z = np.array([s.crowd for s in data], dtype=np.float64)
-    y = np.array([s.x for s in data], dtype=np.float64)
-    z_bar = float(z.mean())
-    y_bar = float(y.mean())
-    szz = float(((z - z_bar) ** 2).sum())
+    z = [s.crowd for s in data]
+    y = [s.x for s in data]
+    z_bar = math.fsum(z) / n
+    y_bar = math.fsum(y) / n
+    szz = math.fsum((c - z_bar) ** 2 for c in z)
     if szz == 0.0:
         raise ValueError("singular design: crowd values are all identical")
-    szy = float(((z - z_bar) * (y - y_bar)).sum())
+    szy = math.fsum((c - z_bar) * (x - y_bar) for c, x in zip(z, y))
     beta1 = szy / szz
     beta0 = y_bar - beta1 * z_bar
-    resid = y - beta0 - beta1 * z
-    sse = float((resid**2).sum())
-    syy = float(((y - y_bar) ** 2).sum())
+    resid = tuple(x - beta0 - beta1 * c for c, x in zip(z, y))
+    sse = math.fsum(r * r for r in resid)
+    syy = math.fsum((x - y_bar) ** 2 for x in y)
     s2 = sse / (n - 2)
     se1 = math.sqrt(s2 / szz)
     se0 = math.sqrt(s2 * (1.0 / n + z_bar**2 / szz))
@@ -213,5 +211,5 @@ def ols_fit(
         n=n,
         null0=null0,
         null1=null1,
-        residuals=tuple(float(r) for r in resid),
+        residuals=resid,
     )

@@ -75,7 +75,10 @@ def _build_question(args) -> tuple:
 def _cmd_forecast(args) -> int:
     series, question = _build_question(args)
     check_retired(seed=args.seed, n_paths=args.paths)
-    forecast = rolling_forecast(series, question, StepMode(args.step_mode))
+    # a forecast reads no rate after close, so volatility's prefix sums
+    # (built once per series) need not cover the rest of the file
+    history = series.window(end=question.close_date)
+    forecast = rolling_forecast(history, question, StepMode(args.step_mode))
     sys.stdout.write(format_series("p", forecast.points))
     return 0
 

@@ -8,8 +8,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-
-import numpy as np
+from itertools import accumulate
 
 
 class QuoteDirection(str, Enum):
@@ -80,9 +79,9 @@ class PriceSeries:
 
     Dates are strictly increasing, every rate is positive and finite, and
     calendar gaps (weekends, holidays) are preserved exactly as observed.
-    `dates` and `rate_diffs` are computed on first use and kept on the
-    instance; they are not fields, so equality, hashing and repr see only
-    the points.
+    `dates`, `rate_diffs` and `diff_sums` are computed on first use and kept
+    on the instance; they are not fields, so equality, hashing and repr see
+    only the points.
     """
 
     pair_id: str
@@ -97,6 +96,18 @@ class PriceSeries:
             self, "quote_direction", QuoteDirection(self.quote_direction)
         )
 
+    @classmethod
+    def _trusted(
+        cls, pair_id: str, points: tuple, quote_direction: QuoteDirection
+    ) -> PriceSeries:
+        """A series from float points already known to be strictly increasing in
+        date with every rate positive and finite, built without checking them again."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "pair_id", pair_id)
+        object.__setattr__(series, "points", points)
+        object.__setattr__(series, "quote_direction", QuoteDirection(quote_direction))
+        return series
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -109,11 +120,28 @@ class PriceSeries:
         return tuple(r for _, r in self.points)
 
     @cached_property
-    def rate_diffs(self) -> np.ndarray:
-        """Read-only float64 first differences: rate_diffs[i] = rate[i+1] - rate[i]."""
-        diffs = np.diff(np.asarray(self.rates, dtype=np.float64))
-        diffs.flags.writeable = False
-        return diffs
+    def rate_diffs(self) -> tuple[float, ...]:
+        """First differences: rate_diffs[i] = rate[i+1] - rate[i]."""
+        rates = self.rates
+        return tuple(b - a for a, b in zip(rates, rates[1:]))
+
+    @cached_property
+    def diff_sums(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """`(e, s1, s2)`: exact prefix sums of `rate_diffs` and of their squares.
+
+        Every diff times 2**e is an integer, where 2**e is the largest
+        denominator of `float.as_integer_ratio` among the diffs, and
+        s1[j] and s2[j] are the sums of the first j of those integers and of
+        their squares. Python ints hold them exactly, whatever the rates.
+        """
+        ratios = [d.as_integer_ratio() for d in self.rate_diffs]
+        e = max((q.bit_length() - 1 for _, q in ratios), default=0)
+        scaled = [p << (e + 1 - q.bit_length()) for p, q in ratios]
+        return (
+            e,
+            tuple(accumulate(scaled, initial=0)),
+            tuple(accumulate((v * v for v in scaled), initial=0)),
+        )
 
     def rate_on(self, date: dt.date) -> float:
         """Rate observed exactly on `date`, or KeyError if not a trading day."""
@@ -130,7 +158,7 @@ class PriceSeries:
         """Sub-series with dates in [start, end] (either bound optional)."""
         lo = 0 if start is None else bisect_left(self.dates, start)
         hi = len(self.points) if end is None else bisect_right(self.dates, end)
-        return PriceSeries(self.pair_id, self.points[lo:hi], self.quote_direction)
+        return PriceSeries._trusted(self.pair_id, self.points[lo:hi], self.quote_direction)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .domain import (
     ForecastSeries,
     PriceSeries,
@@ -75,11 +73,13 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
     Increments are taken between consecutive observations (a weekend gap is
     one increment) and sigma_h is their n-1 sample standard deviation, so the
     estimate is in rate units per step. Raises on fewer than 3 observations.
-    The increments are a prefix of `series.rate_diffs`, which the first call
-    on a series builds in one O(n) pass; each call after that costs one
-    bisect plus the standard deviation of the prefix, computed as `np.std`
-    computes it (mean, deviations, squares, pairwise sums), so every bit
-    matches `np.std(prefix, ddof=1)`.
+    The increments are a prefix of `series.rate_diffs`, whose exact prefix
+    sums `series.diff_sums` the first call on a series builds in one O(n)
+    pass; each call after that costs one bisect and one division of Python
+    ints, which rounds correctly, so sigma_h is the square root of the exact
+    sample variance rounded once to a float. A variance that is not zero but
+    rounds to 0.0 or overflows a float is a ValueError naming the pair and
+    `as_of`, never a sigma_h of 0.0 or inf.
     """
     k = bisect_right(series.dates, as_of)
     if k < 3:
@@ -87,11 +87,20 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
             f"insufficient history: need at least 3 observations on or before "
             f"{as_of}, have {k}"
         )
-    # np.std(diffs, ddof=1)'s arithmetic, in its order, without its wrapper
-    diffs = series.rate_diffs[: k - 1]
-    dev = diffs - np.add.reduce(diffs) / (k - 1)
-    sigma = math.sqrt(np.add.reduce(dev * dev) / (k - 2))
-    return VolatilityEstimate(as_of=as_of, sigma_h=sigma, n_obs=k - 1)
+    m = k - 1
+    e, s1, s2 = series.diff_sums
+    # m * (m - 1) * 2**(2e) times the sample variance, exactly
+    spread = m * s2[m] - s1[m] ** 2
+    try:
+        variance = spread / ((m * (m - 1)) << 2 * e)
+    except OverflowError:
+        variance = math.inf
+    if spread and not 0.0 < variance < math.inf:
+        raise ValueError(
+            f"{series.pair_id}: the variance of daily increments up to {as_of} "
+            f"{'overflows' if variance else 'underflows'} a float"
+        )
+    return VolatilityEstimate(as_of=as_of, sigma_h=math.sqrt(variance), n_obs=m)
 
 
 def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed: int) -> float:
@@ -105,8 +114,11 @@ def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed:
     1 - prod(1 - p_step) instead of a raw indicator: unbiased for the
     continuous walk's first-passage probability, with less variance. A level
     clipped at the barrier makes its step's factor 0, so the clip changes no
-    survival.
+    survival. numpy is imported here, not by the package, so only a caller of
+    the reference pays for it.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     level = np.full(n_paths, d_over_sigma)
     survival = np.ones(n_paths)
@@ -181,13 +193,18 @@ def analytic_barrier_probability(
     return math.erfc((x0 - barrier) / (sigma * math.sqrt(n_steps)) / math.sqrt(2.0))
 
 
+def _weekdays_through(ordinal: int) -> int:
+    """Weekdays among date ordinals 1..ordinal; ordinal 1 (0001-01-01) is a Monday."""
+    weeks, days = divmod(ordinal, 7)
+    return 5 * weeks + min(days, 5)
+
+
 def _steps_to_close(dates, close_date: dt.date, step_mode: StepMode) -> list[int]:
     """Simulation steps left in (d, close_date] for each date d of `dates`."""
     if StepMode(step_mode) is StepMode.CALENDAR_DAYS:
         return [max(0, (close_date - d).days) for d in dates]
-    begin = np.array(dates, dtype="datetime64[D]") + 1
-    # busday_count is negative when begin is after the end
-    return np.maximum(np.busday_count(begin, np.datetime64(close_date) + 1), 0).tolist()
+    end = _weekdays_through(close_date.toordinal())
+    return [max(0, end - _weekdays_through(d.toordinal())) for d in dates]
 
 
 def remaining_steps(date: dt.date, close_date: dt.date, step_mode: StepMode) -> int:

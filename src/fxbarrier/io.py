@@ -86,7 +86,8 @@ def ingest_price_csv(
     path = Path(path)
     pair = pair_id if pair_id is not None else path.stem
     points = _read_dated(path, ["date", "rate"], _RATE).get("", ())
-    return PriceSeries(pair, points, quote_direction)
+    # _read_dated has range-checked, sorted and duplicate-checked every row
+    return PriceSeries._trusted(pair, points, quote_direction)
 
 
 def parse_forecast_csv(

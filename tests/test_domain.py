@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,16 +187,20 @@ class TestPriceSeriesCache:
         a = random_walk_series(seed=5, n=30)
         b = random_walk_series(seed=5, n=30)
         before = (repr(a), hash(a))
-        assert a.rate_diffs.tolist() == np.diff(np.asarray(a.rates)).tolist()
+        assert a.rate_diffs == tuple(np.diff(np.asarray(a.rates)).tolist())
+        assert a.diff_sums[1][-1] == int(sum(map(Fraction, a.rate_diffs)) * 2 ** a.diff_sums[0])
         assert a.dates[0] == D(2022, 1, 3) and a.rate_on(a.dates[7]) == a.points[7][1]
-        assert "rate_diffs" in vars(a) and "rate_diffs" not in vars(b)
+        for cached in ("rate_diffs", "diff_sums"):
+            assert cached in vars(a) and cached not in vars(b)
         assert (repr(a), hash(a)) == before == (repr(b), hash(b))
         assert a == b and b == a
 
     def test_rate_diffs_are_read_only(self):
         series = random_walk_series(seed=5, n=30)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             series.rate_diffs[0] = 0.0
+        with pytest.raises(TypeError):
+            series.diff_sums[1][0] = 1
 
 
 class TestValidation:

@@ -9,6 +9,7 @@ import statistics
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -40,6 +41,19 @@ D = dt.date
 def series_from(rates, start=D(2022, 1, 3), **kwargs):
     dates = weekday_dates(start, len(rates))
     return PriceSeries(kwargs.pop("pair_id", "EURUSD"), tuple(zip(dates, rates)), **kwargs)
+
+
+def exact_sigma(rates) -> float:
+    """Square root of the float nearest the exact sample variance of the diffs."""
+    diffs = [Fraction(b - a) for a, b in zip(rates, rates[1:])]
+    mean = sum(diffs) / len(diffs)
+    return math.sqrt(float(sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)))
+
+
+def assert_near_np_std(sigma: float, rates) -> None:
+    """Within 2 ulp of np.std(diffs, ddof=1), which sums in floats."""
+    reference = float(np.std(np.diff(np.asarray(rates)), ddof=1))
+    assert abs(sigma - reference) <= 2 * math.ulp(reference), (sigma, reference)
 
 
 class TestEstimateVolatility:
@@ -93,18 +107,48 @@ class TestEstimateVolatility:
                     estimate_volatility(series, day)
             else:
                 est = estimate_volatility(series, day)
-                assert est.sigma_h == float(np.std(np.diff(np.asarray(prefix)), ddof=1))
+                assert est.sigma_h == exact_sigma(prefix)
+                assert_near_np_std(est.sigma_h, prefix)
                 assert est.n_obs == len(prefix) - 1
             day += dt.timedelta(days=1)
 
     def test_long_prefixes_match_np_std(self):
         # numpy sums more than 8 values in unrolled lanes and more than 128 in
-        # pairwise blocks, so long prefixes take other summation orders
+        # pairwise blocks, so long prefixes take other summation orders; the
+        # exact variance is checked on every 37th prefix, as Fractions are slow
         series = random_walk_series(seed=41, n=1_500, sigma=0.01)
+        rates = series.rates
         for k in range(3, len(series) + 1):
             est = estimate_volatility(series, series.dates[k - 1])
-            assert est.sigma_h == float(np.std(series.rate_diffs[: k - 1], ddof=1)), k
+            assert_near_np_std(est.sigma_h, rates[:k])
+            if k % 37 == 0:
+                assert est.sigma_h == exact_sigma(rates[:k]), k
 
+    @pytest.mark.parametrize(
+        "rates, word",
+        [
+            ([1e-300, 2e-300, 5e-301, 1e-300], "underflows"),
+            ([1e300, 1.7e308, 1e300, 1.7e308], "overflows"),
+        ],
+    )
+    def test_variance_outside_the_float_range_is_an_error(self, rates, word):
+        series = series_from(rates, pair_id="XTREME")
+        for day in series.dates[2:]:
+            message = f"^XTREME: the variance of daily increments up to {day} {word} a float$"
+            with pytest.raises(ValueError, match=message):
+                estimate_volatility(series, day)
+        question = Question(
+            "q-xtreme", "XTREME", series.dates[2], series.dates[-1] + dt.timedelta(days=30),
+            rates[0], "relative_depreciation", 0.9,
+        )
+        with pytest.raises(ValueError, match=f"^XTREME: .* {word} a float$"):
+            rolling_forecast(series, question)
+
+    def test_tiny_variance_inside_the_float_range_is_kept(self):
+        # a subnormal variance is not zero, so sigma_h is its square root
+        rates = [2**-500, 2**-500 + 2**-530, 2**-500, 2**-500 + 2**-530]
+        sigma = estimate_volatility(series_from(rates), weekday_dates(D(2022, 1, 3), 4)[-1]).sigma_h
+        assert sigma == exact_sigma(rates) > 0.0
 
     def test_threads_racing_to_fill_the_cache_agree(self):
         # A library caller's threads may share one PriceSeries, so several
@@ -130,7 +174,8 @@ class TestEstimateVolatility:
                     assert not t.is_alive()
                 for day in days:
                     prefix = [r for d, r in series.points if d <= day]
-                    assert got[day] == float(np.std(np.diff(prefix), ddof=1))
+                    assert got[day] == exact_sigma(prefix)
+                    assert_near_np_std(got[day], prefix)
         finally:
             sys.setswitchinterval(old)
 
@@ -372,6 +417,24 @@ class TestRemainingSteps:
                 assert got == [one_date(d, close_date, mode) for d in dates]
                 assert all(type(n) is int for n in got)
         assert engine_mod._steps_to_close([], D(2022, 6, 17), StepMode.TRADING_DAYS) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.dates(D(1990, 1, 1), D(2030, 12, 31)),
+        offsets=st.lists(st.integers(-30 * 366, 30 * 366), min_size=1, max_size=20),
+    )
+    def test_weekday_count_matches_np_busday_count(self, start, offsets):
+        # dates up to 30 years either side of the close, so before and after
+        # it, starting and ending on any weekday
+        one = dt.timedelta(days=1)
+        for close_date in (start + dt.timedelta(days=k) for k in range(7)):
+            dates = [close_date + dt.timedelta(days=k) for k in offsets]
+            expected = [
+                max(0, int(np.busday_count(d + one, close_date + one))) for d in dates
+            ]
+            assert engine_mod._steps_to_close(dates, close_date, StepMode.TRADING_DAYS) == expected
+            for d, n in zip(dates, expected):
+                assert remaining_steps(d, close_date, StepMode.TRADING_DAYS) == n
 
 
 def make_fixture(n=60, seed=3, sigma=0.008):

@@ -15,11 +15,14 @@ import pytest
 
 PROBE = """
 import json, os, sys
+environ = dict(os.environ)
 import fxbarrier, fxbarrier.cli
 task = "/proc/self/task"
 print(json.dumps({
     # None is how a test run blocks scipy; it means "not loaded" too
     "scipy": sys.modules.get("scipy") is not None,
+    "numpy": sys.modules.get("numpy") is not None,
+    "environ_changed": dict(os.environ) != environ,
     "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
     "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
 }))
@@ -48,7 +51,8 @@ def test_import_starts_no_thread():
     if got["threads"] is None:
         pytest.skip("/proc/self/task is not available")
     assert got["threads"] == 1
-    assert got["openblas"] == "1"
+    assert got["numpy"] is False
+    assert got["environ_changed"] is False
 
 
 def test_preset_openblas_threads_are_kept():
