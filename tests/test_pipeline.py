@@ -204,6 +204,13 @@ class TestRunPipeline:
         b = run_to_dir(path, tmp_path / "out_b")
         assert a == b
 
+    def test_parallelism_does_not_change_bytes(self, tmp_path):
+        # workers is retired and accepted as a no-op: it must not alter output
+        path = build_config(tmp_path)
+        serial = run_to_dir(path, tmp_path / "out_serial", workers=1)
+        threaded = run_to_dir(path, tmp_path / "out_threaded", workers=4)
+        assert serial == threaded
+
     def test_questions_run_in_id_order_on_the_calling_thread(self, tmp_path, monkeypatch):
         path = build_config(tmp_path)
         raw = json.loads(path.read_text())
