@@ -168,8 +168,12 @@ def ols_fit(
     Coefficients come from the centered closed form, standard errors from the
     usual residual-variance expressions with n-2 degrees of freedom, and
     p-values from the two-sided Student-t distribution. The pooled daily panel
-    is serially correlated, so these errors are descriptive.
+    is serially correlated, so these errors are descriptive. A non-finite
+    null is a ValueError, whether or not the fit is noiseless.
     """
+    for name, null in (("null0", null0), ("null1", null1)):
+        if not math.isfinite(null):
+            raise ValueError(f"{name} must be finite, got {null!r}")
     data = list(samples)
     n = len(data)
     if n < 3:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,7 +29,9 @@ class ConsensusMethod(str, Enum):
 
 def _as_utc(at: dt.datetime) -> dt.datetime:
     """`at` in UTC: a naive time is taken to be UTC, and an aware one is converted."""
-    return at.replace(tzinfo=at.tzinfo or dt.timezone.utc).astimezone(dt.timezone.utc)
+    if at.tzinfo is None:
+        return at.replace(tzinfo=dt.timezone.utc)
+    return at.astimezone(dt.timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -85,33 +86,27 @@ class SnapshotEntry(NamedTuple):
 
 def _snapshots(
     records: Iterable[CrowdRecord], cutoffs: Iterable[dt.datetime]
-) -> Iterator[list[tuple[dt.datetime, str, float]]]:
+) -> Iterator[dict[str, float]]:
     """The latest-per-forecaster snapshot at each of the ascending `cutoffs`,
-    as `(at, forecaster_id, p)` in rank order, oldest first.
+    as `{forecaster_id: p}` in rank order, oldest first.
 
-    One stable sort of the records by time, then one cursor across them. The
-    snapshot is one list kept sorted by (time, forecaster id): each record
-    deletes its forecaster's previous entry, found by bisect, and inserts its
-    own, so no cutoff re-sorts anything. Because the sort is stable, a
-    forecaster's same-instant duplicates are visited in input order and the
-    later one wins. The same list is yielded each time, updated in place.
+    One stable sort of the records by (time, forecaster id), then one cursor
+    across them: each record pops its forecaster and inserts it again, so the
+    dict's order is the rank order and no cutoff re-sorts anything. Because
+    the sort is stable, a forecaster's same-instant duplicates are visited in
+    input order and the later one wins. The same dict is yielded each time,
+    updated in place.
     """
-    ordered = sorted(records, key=lambda r: r.at)
-    latest: dict[str, tuple[dt.datetime, str, float]] = {}
-    ranked: list[tuple[dt.datetime, str, float]] = []
+    ordered = sorted(records, key=lambda r: (r.at, r.forecaster_id))
+    latest: dict[str, float] = {}
     i = 0
     for cutoff in cutoffs:
         while i < len(ordered) and ordered[i].at <= cutoff:
             rec = ordered[i]
-            # (at, id) is unique in `ranked`, so p is never compared
-            entry = (rec.at, rec.forecaster_id, rec.p)
-            previous = latest.get(rec.forecaster_id)
-            if previous is not None:
-                del ranked[bisect_left(ranked, previous)]
-            insort(ranked, entry)
-            latest[rec.forecaster_id] = entry
+            latest.pop(rec.forecaster_id, None)
+            latest[rec.forecaster_id] = rec.p
             i += 1
-        yield ranked
+        yield latest
 
 
 def latest_per_forecaster(
@@ -123,11 +118,11 @@ def latest_per_forecaster(
     so higher ranks are fresher opinions. Ties on time break by forecaster id;
     a forecaster's same-instant duplicates keep the later record in input
     order. Forecasters with no submission yet are absent. This is the
-    single-cutoff case of the sweep `crowd_series` runs: O(R log R + R N) for
-    R records of N forecasters.
+    single-cutoff case of the sweep `crowd_series` runs: O(R log R) for R
+    records.
     """
-    ranked = next(_snapshots(records, [_as_utc(at)]))
-    return [SnapshotEntry(fid, p, rank) for rank, (_, fid, p) in enumerate(ranked, start=1)]
+    latest = next(_snapshots(records, [_as_utc(at)]))
+    return [SnapshotEntry(fid, p, rank) for rank, (fid, p) in enumerate(latest.items(), start=1)]
 
 
 def _weighted_median(ps: Iterable[float], weights: Sequence[float]) -> float:
@@ -143,13 +138,16 @@ def _weighted_median(ps: Iterable[float], weights: Sequence[float]) -> float:
     return weighted[-1][0]
 
 
+def _recency_weights(shape: float, ranks: Sequence[int]) -> list[float]:
+    """exp(shape * (sqrt(rank) - sqrt(newest))) for each rank, newest the largest."""
+    newest = math.sqrt(max(ranks))
+    return [math.exp(shape * (math.sqrt(rank) - newest)) for rank in ranks]
+
+
 @functools.lru_cache(maxsize=256)
 def _rank_weights(shape: float, newest: int) -> tuple[float, ...]:
-    """`community_prediction`'s weights for ranks 1..newest, by the same expression."""
-    return tuple(
-        math.exp(shape * (math.sqrt(rank) - math.sqrt(newest)))
-        for rank in range(1, newest + 1)
-    )
+    """`_recency_weights` for ranks 1..newest."""
+    return tuple(_recency_weights(shape, range(1, newest + 1)))
 
 
 def community_prediction(
@@ -167,11 +165,9 @@ def community_prediction(
     entries = list(snapshot)
     if not entries:
         raise ValueError("no forecasts in snapshot")
-    newest = math.sqrt(max(e.age_rank for e in entries))
-    shape = params.recency_shape
     return _weighted_median(
         [e.p for e in entries],
-        [math.exp(shape * (math.sqrt(e.age_rank) - newest)) for e in entries],
+        _recency_weights(params.recency_shape, [e.age_rank for e in entries]),
     )
 
 
@@ -206,11 +202,11 @@ def crowd_series(
 
     Each day's snapshot is `latest_per_forecaster` at that end of day, with
     its tie rules, but all days come from one sweep: records of other
-    questions are dropped, the question's R records are sorted by time once
-    and walked once across the D sorted dates, keeping the snapshot in rank
-    order, so the cost is O(R log R + R N + D N log N) for at most N
-    forecasters, not O(R * D). A snapshot of N forecasters holds ranks 1..N,
-    whose weights are computed once per (recency_shape, N).
+    questions are dropped, the question's R records are sorted once and
+    walked once across the D sorted dates, keeping the snapshot in rank
+    order, so the cost is O(R log R + D N log N) for at most N forecasters,
+    not O(R * D). A snapshot of N forecasters holds ranks 1..N, whose weights
+    are computed once per (recency_shape, N).
 
     Dates with no submissions yet are omitted. Callers must pass dates within
     [scoring_start, resolve_date) so the series honours its resolution bound.
@@ -218,14 +214,13 @@ def crowd_series(
     relevant = [r for r in records if r.question_id == question.question_id]
     days = sorted(set(sample_dates))
     points = []
-    for d, ranked in zip(days, _snapshots(relevant, map(_end_of_day, days))):
-        if not ranked:
+    for d, latest in zip(days, _snapshots(relevant, map(_end_of_day, days))):
+        if not latest:
             continue
-        ps = [p for _, _, p in ranked]
         if params.method is ConsensusMethod.WEIGHTED_MEDIAN:
-            p = _weighted_median(ps, _rank_weights(params.recency_shape, len(ps)))
+            p = _weighted_median(latest.values(), _rank_weights(params.recency_shape, len(latest)))
         else:
-            p = combine_logit(ps, params.extremize_a)
+            p = combine_logit(latest.values(), params.extremize_a)
         points.append((d, p))
     return ForecastSeries(question.question_id, Source.CROWD, tuple(points))
 

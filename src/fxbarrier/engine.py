@@ -52,6 +52,12 @@ def as_integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def _reject_nan(**values: float) -> None:
+    for name, value in values.items():
+        if value != value:  # only NaN; math.isnan would overflow on a huge int
+            raise ValueError(f"{name} must not be NaN")
+
+
 @dataclass(frozen=True)
 class VolatilityEstimate:
     """Sample standard deviation of daily increments up to `as_of`."""
@@ -152,8 +158,9 @@ def simulate_barrier_probability(
     x0, barrier and sigma only through the float (x0 - barrier) / sigma, so
     negating both x0 and barrier is exact. Inputs equal only in decimal (up
     0.15 from 1.0 versus down 0.15 from 1.0) round to different distances and
-    can differ at about 1e-16.
+    can differ at about 1e-16. A NaN input is a ValueError naming it.
     """
+    _reject_nan(x0=x0, sigma=sigma, barrier=barrier, n_steps=n_steps)
     seed, n_paths = as_integer("seed", seed), as_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -180,8 +187,9 @@ def analytic_barrier_probability(
     computed as erfc((x0 - barrier) / (sigma sqrt(n)) / sqrt(2)).
     This is each day's forecast in `rolling_forecast`. Negating both x0 and
     barrier is exact, which is how ccy_per_usd questions are priced as
-    up-crossings.
+    up-crossings. A NaN input is a ValueError naming it.
     """
+    _reject_nan(x0=x0, sigma=sigma, barrier=barrier, n_steps=n_steps)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if sigma < 0:

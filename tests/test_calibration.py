@@ -249,6 +249,15 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="at least 3"):
             ols_fit(samples_from(np.array([0.1, 0.2]), np.array([0.1, 0.2])))
 
+    @pytest.mark.parametrize("name", ["null0", "null1"])
+    @pytest.mark.parametrize("null", [math.nan, math.inf])
+    @pytest.mark.parametrize("noise", [0.0, 0.03], ids=["noiseless", "noisy"])
+    def test_non_finite_null_is_an_error(self, name, null, noise):
+        z = np.linspace(0.1, 0.9, 30)
+        y = np.clip(0.05 + 0.8 * z + noise * np.sin(17.0 * z), 0.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {null!r}$"):
+            ols_fit(samples_from(z, y), **{name: null})
+
     def test_sample_validation(self):
         with pytest.raises(ValueError, match="outside"):
             PairedSample("q", D(2022, 6, 1), 1.2, 0.5)

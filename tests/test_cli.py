@@ -242,6 +242,19 @@ class TestCalibrate:
         assert "0.800000" in proc.stdout  # slope of the noiseless line
         assert "r_squared: 1.000000" in proc.stdout
 
+    def test_non_finite_null_fails_cleanly(self, tmp_path):
+        x_path = tmp_path / "x.csv"
+        x_path.write_text(
+            "date,p\n" + "".join(f"2022-06-{d:02d},{0.1 * d}\n" for d in range(1, 6)),
+            encoding="utf-8",
+        )
+        proc = run_cli(
+            "calibrate", "--x-file", str(x_path), "--crowd-file", str(x_path), "--null0", "nan"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: null0 must be finite, got nan\n"
+
     def test_disjoint_series_fail_cleanly(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

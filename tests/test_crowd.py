@@ -450,6 +450,19 @@ class TestLoadCrowdCsv:
         assert [r.forecaster_id for r in records] == ["a", "b"]
         assert records[0].at.tzinfo is not None
 
+    def test_one_instant_written_five_ways_reads_as_one_utc_time(self, tmp_path):
+        stamps = [
+            "2022-06-01T12:00:00Z",
+            "2022-06-01T12:00:00z",
+            "2022-06-01T12:00:00+00:00",
+            "2022-06-01T14:00:00+02:00",
+            "2022-06-01T12:00:00",  # naive: taken to be UTC
+        ]
+        path = write_crowd_csv(tmp_path / "crowd.csv", [("q", "a", s, 0.3) for s in stamps])
+        records = load_crowd_csv(path)
+        assert records == [rec("a", dt.datetime(2022, 6, 1, 12, tzinfo=UTC), 0.3)] * 5
+        assert all(r.at.tzinfo is dt.timezone.utc for r in records)
+
     def test_bad_header_is_an_error(self, tmp_path):
         path = tmp_path / "crowd.csv"
         path.write_text("who,when,what\n", encoding="utf-8")

@@ -216,6 +216,22 @@ class TestAnalytic:
             analytic_barrier_probability(1.0, 0.01, 0.85, -1)
 
 
+NAN_CASES = {
+    # each NaN sits where a branch used to answer 0.0 or pass it through
+    "x0": (math.nan, 0.0, 0.5, 10),
+    "sigma": (1.0, math.nan, 0.5, 10),
+    "barrier": (1.0, 0.1, math.nan, 10),
+    "n_steps": (1.0, 0.1, 0.5, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_CASES))
+@pytest.mark.parametrize("fn", [analytic_barrier_probability, simulate_barrier_probability])
+def test_nan_input_is_an_error_naming_it(fn, name):
+    with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+        fn(*NAN_CASES[name])
+
+
 PARAMS = {"seed": 99, "n_paths": 20_000}
 PARAMS_MONO = {"seed": 99, "n_paths": 100_000}
 

@@ -24,7 +24,6 @@ print(json.dumps({
     "numpy": sys.modules.get("numpy") is not None,
     "environ_changed": dict(os.environ) != environ,
     "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
-    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
 }))
 """
 
@@ -53,10 +52,6 @@ def test_import_starts_no_thread():
     assert got["threads"] == 1
     assert got["numpy"] is False
     assert got["environ_changed"] is False
-
-
-def test_preset_openblas_threads_are_kept():
-    assert probe(OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
 
 
 def test_all_names_every_public_attribute():
