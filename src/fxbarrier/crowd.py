@@ -10,13 +10,14 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .domain import ForecastSeries, Question, Source
-from .io import _read_rows
+from .domain import _PROBABILITY, ForecastSeries, Question, Source
+from .io import _obeys, _read_rows
 
 _LOGIT_EPS = 1e-6
 _CROWD_HEADER = ["question_id", "forecaster_id", "timestamp_rfc3339", "probability"]
@@ -55,6 +56,19 @@ class CrowdRecord:
                 f"{self.question_id}/{self.forecaster_id}: probability {self.p} "
                 "outside [0, 1]"
             )
+
+    @classmethod
+    def _trusted(
+        cls, question_id: str, forecaster_id: str, at: dt.datetime, p: float
+    ) -> CrowdRecord:
+        """A record from a UTC `at` and a float `p` already known to lie in
+        [0, 1], built without checking them again."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "question_id", question_id)
+        object.__setattr__(record, "forecaster_id", forecaster_id)
+        object.__setattr__(record, "at", at)
+        object.__setattr__(record, "p", p)
+        return record
 
 
 @dataclass(frozen=True)
@@ -236,20 +250,35 @@ def load_crowd_csv(path: str | Path) -> list[CrowdRecord]:
     """Read crowd records from CSV and sort them by timestamp.
 
     Expected header: question_id,forecaster_id,timestamp_rfc3339,probability.
-    Rows may arrive in any order; malformed rows fail with their line number.
+    Rows may arrive in any order. The times and the probabilities are each
+    parsed and checked as one column, and the records are then built without
+    checking them again. Only if a column check fails are the rows built one
+    at a time, in file order, so the first malformed row fails with its line
+    number and `CrowdRecord`'s message.
     """
     path = Path(path)
-    records = []
-    for lineno, row in _read_rows(path, _CROWD_HEADER):
-        try:
-            record = CrowdRecord(
-                question_id=row[0].strip(),
-                forecaster_id=row[1].strip(),
-                at=_parse_rfc3339(row[2]),
-                p=float(row[3]),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        records.append(record)
-    records.sort(key=lambda r: r.at)
+    lines, columns = _read_rows(path, _CROWD_HEADER)
+    question_ids, forecaster_ids, times, probabilities = columns
+    try:
+        ats = list(map(_as_utc, map(_parse_rfc3339, times)))
+        ps = list(map(float, probabilities))
+        ok = _obeys(ps, _PROBABILITY[1])
+    except (ValueError, OverflowError):  # OverflowError: an offset moves a time out of range
+        ok = False
+    if not ok:
+        for lineno, qid, fid, time, p in zip(lines, *columns):
+            try:
+                CrowdRecord(qid.strip(), fid.strip(), _parse_rfc3339(time), float(p))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    records = list(
+        map(
+            CrowdRecord._trusted,
+            map(str.strip, question_ids),
+            map(str.strip, forecaster_ids),
+            ats,
+            ps,
+        )
+    )
+    records.sort(key=operator.attrgetter("at"))
     return records

@@ -45,7 +45,8 @@ class ThresholdKind(str, Enum):
 
 
 # Value rules for dated series, here and in CSV ingest: the value's name, a
-# predicate, and the error text it raises.
+# predicate, and the error text it raises. Each predicate accepts an interval,
+# so CSV ingest checks a whole column by its smallest and largest values.
 _PROBABILITY = (
     "probability",
     lambda v: 0.0 <= v <= 1.0,

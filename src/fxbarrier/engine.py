@@ -149,18 +149,20 @@ def simulate_barrier_probability(
 
     Returns exactly 1.0 when the start is already at or below the barrier and
     0.0 when the walk cannot move (zero volatility or no steps remaining).
-    `n_paths` and `seed` must be integers (numpy integers pass; a float, even
-    an integral one, or a bool is rejected); the seed is a fixed Philox key,
-    never entropy. Deterministic for fixed (seed, n_paths, inputs), on any
-    thread. It estimates `analytic_barrier_probability`, the forecast
-    `rolling_forecast` uses, without bias, and is the reference that forecast
-    is tested against; no forecast or report reads it. The result depends on
-    x0, barrier and sigma only through the float (x0 - barrier) / sigma, so
-    negating both x0 and barrier is exact. Inputs equal only in decimal (up
-    0.15 from 1.0 versus down 0.15 from 1.0) round to different distances and
-    can differ at about 1e-16. A NaN input is a ValueError naming it.
+    `n_steps`, `n_paths` and `seed` must be integers (numpy integers pass; a
+    float, even an integral one, or a bool is rejected); the seed is a fixed
+    Philox key, never entropy. Deterministic for fixed (seed, n_paths,
+    inputs), on any thread. It estimates `analytic_barrier_probability`, the
+    forecast `rolling_forecast` uses, without bias, and is the reference that
+    forecast is tested against; no forecast or report reads it. The result
+    depends on x0, barrier and sigma only through the float
+    (x0 - barrier) / sigma, so negating both x0 and barrier is exact. Inputs
+    equal only in decimal (up 0.15 from 1.0 versus down 0.15 from 1.0) round
+    to different distances and can differ at about 1e-16. A NaN input is a
+    ValueError naming it.
     """
     _reject_nan(x0=x0, sigma=sigma, barrier=barrier, n_steps=n_steps)
+    n_steps = as_integer("n_steps", n_steps)
     seed, n_paths = as_integer("seed", seed), as_integer("n_paths", n_paths)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -174,7 +176,7 @@ def simulate_barrier_probability(
         return 1.0
     if sigma == 0.0 or n_steps == 0:
         return 0.0
-    return _crossing_probability((x0 - barrier) / sigma, int(n_steps), n_paths, seed)
+    return _crossing_probability((x0 - barrier) / sigma, n_steps, n_paths, seed)
 
 
 def analytic_barrier_probability(
@@ -187,9 +189,11 @@ def analytic_barrier_probability(
     computed as erfc((x0 - barrier) / (sigma sqrt(n)) / sqrt(2)).
     This is each day's forecast in `rolling_forecast`. Negating both x0 and
     barrier is exact, which is how ccy_per_usd questions are priced as
-    up-crossings. A NaN input is a ValueError naming it.
+    up-crossings. A NaN input is a ValueError naming it, and so is an
+    `n_steps` that is not an integer (a float, even an integral one, or a bool).
     """
     _reject_nan(x0=x0, sigma=sigma, barrier=barrier, n_steps=n_steps)
+    n_steps = as_integer("n_steps", n_steps)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if sigma < 0:

@@ -4,14 +4,24 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import operator
 from pathlib import Path
+from typing import Sequence
 
 from .domain import _PROBABILITY, _RATE, ForecastSeries, PriceSeries, QuoteDirection, Source
 
 
-def _read_rows(path: Path, expected_header: list[str]):
-    """(line, row) for each non-empty data row; a row the csv module cannot
-    parse (such as a field over its size limit) is a ValueError naming the line."""
+def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], list[tuple]]:
+    """`(lines, columns)`: the file's non-empty data rows, one tuple of field
+    texts per header column, and the line number of each row.
+
+    The header is checked first, then the whole file is read at once: a row the
+    csv module cannot parse (such as a field over its size limit), and then
+    the first row with a wrong field count, is a ValueError naming its line.
+    Both are found before any field is read, so they win over a bad field on
+    an earlier line. Line numbers count rows from the header's 1, blank rows
+    included.
+    """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -20,17 +30,18 @@ def _read_rows(path: Path, expected_header: list[str]):
                 raise ValueError(
                     f"{path}: expected header {','.join(expected_header)!r}, got {header}"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {len(expected_header)} fields, "
-                        f"got {len(row)}"
-                    )
-                yield lineno, row
+            rows = list(reader)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    width = len(expected_header)
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if set(map(len, rows)) - {width}:  # a wrong field count, or a blank row
+        for lineno, row in zip(lines, rows):
+            if row and len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        lines = [lineno for lineno, row in zip(lines, rows) if row]
+        rows = list(filter(None, rows))
+    return lines, list(zip(*rows)) or [()] * width
 
 
 def _parse_date(text: str, path: Path, lineno: int) -> dt.date:
@@ -40,18 +51,22 @@ def _parse_date(text: str, path: Path, lineno: int) -> dt.date:
         raise ValueError(f"{path}:{lineno}: bad date {text!r}") from exc
 
 
-def _read_dated(path: Path, header: list[str], rule) -> dict[str, tuple]:
-    """`[key,] date, value` rows of a CSV as date-sorted points per key.
+def _obeys(values: list[float], valid) -> bool:
+    """Whether every value satisfies `valid`, a domain rule's predicate.
 
-    The key is the first column of a three-column `header`; two-column rows
-    all share the key "". Each value must satisfy the domain `rule`
-    (`_RATE` or `_PROBABILITY`). Rows may arrive in any order; a bad value or
-    a date repeated under one key fails with its path and line.
+    Each rule accepts an interval, so a column with no NaN obeys it when its
+    smallest and largest values do. The sum is NaN exactly when the column
+    holds a NaN, or both infinities, which no rule accepts.
     """
+    total = sum(values)
+    return not values or (total == total and valid(min(values)) and valid(max(values)))
+
+
+def _first_bad_row(path: Path, lines, date_texts, value_texts, rule) -> None:
+    """Raise the fault of the first row, in file order, whose date, then
+    value, then value rule fails; `_read_dated`'s column checks found one."""
     name, valid, message = rule
-    grouped: dict[str, list[tuple[dt.date, float, int]]] = {}
-    for lineno, row in _read_rows(path, header):
-        *key, date_text, value_text = row
+    for lineno, date_text, value_text in zip(lines, date_texts, value_texts):
         date = _parse_date(date_text, path, lineno)
         try:
             value = float(value_text)
@@ -59,17 +74,57 @@ def _read_dated(path: Path, header: list[str], rule) -> dict[str, tuple]:
             raise ValueError(f"{path}:{lineno}: bad {name} {value_text!r}") from exc
         if not valid(value):
             raise ValueError(f"{path}:{lineno}: " + message.format(value=value, date=date))
-        grouped.setdefault("".join(key).strip(), []).append((date, value, lineno))
-    out = {}
-    for key, rows in grouped.items():
-        rows.sort(key=lambda r: r[0])
-        for (d1, _, ln1), (d2, _, ln2) in zip(rows, rows[1:]):
-            if d1 == d2:
-                raise ValueError(
-                    f"{path}:{ln2}: duplicate date {d2} (duplicate entry of line {ln1})"
-                )
-        out[key] = tuple((d, v) for d, v, _ in rows)
-    return out
+
+
+def _date_sorted(path: Path, lines, dates: list, values: list) -> tuple:
+    """The points of one key in date order; a repeated date is a ValueError
+    naming its later line and the earlier one."""
+    if all(map(operator.lt, dates, dates[1:])):
+        return tuple(zip(dates, values))
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if dates[i] == dates[j]:
+            raise ValueError(
+                f"{path}:{lines[j]}: duplicate date {dates[j]} "
+                f"(duplicate entry of line {lines[i]})"
+            )
+    return tuple((dates[i], values[i]) for i in order)
+
+
+def _read_dated(path: Path, header: list[str], rule) -> dict[str, tuple]:
+    """`[key,] date, value` rows of a CSV as date-sorted points per key.
+
+    The key is the first column of a three-column `header`; two-column rows
+    all share the key "". Each value must satisfy the domain `rule`
+    (`_RATE` or `_PROBABILITY`). Rows may arrive in any order.
+
+    Each column is converted and checked in one pass. Only if a check fails
+    are the rows walked in file order, so the first row with a bad date, a
+    bad value or a value outside the rule fails with its path and line, as
+    a row-by-row read would report it. Then each key whose dates are not
+    already strictly increasing is sorted, and a date repeated under it
+    fails with both lines.
+    """
+    lines, (*keys, date_texts, value_texts) = _read_rows(path, header)
+    try:
+        dates = list(map(dt.date.fromisoformat, map(str.strip, date_texts)))
+        values = list(map(float, value_texts))
+        ok = _obeys(values, rule[1])
+    except ValueError:
+        ok = False
+    if not ok:
+        _first_bad_row(path, lines, date_texts, value_texts, rule)
+    if not keys:
+        return {"": _date_sorted(path, lines, dates, values)} if dates else {}
+    rows_of: dict[str, list[int]] = {}
+    for i, key in enumerate(map(str.strip, keys[0])):
+        rows_of.setdefault(key, []).append(i)
+    return {
+        key: _date_sorted(
+            path, [lines[i] for i in rows], [dates[i] for i in rows], [values[i] for i in rows]
+        )
+        for key, rows in rows_of.items()
+    }
 
 
 def ingest_price_csv(
@@ -86,7 +141,7 @@ def ingest_price_csv(
     path = Path(path)
     pair = pair_id if pair_id is not None else path.stem
     points = _read_dated(path, ["date", "rate"], _RATE).get("", ())
-    # _read_dated has range-checked, sorted and duplicate-checked every row
+    # _read_dated has range-checked, sorted and duplicate-checked every point
     return PriceSeries._trusted(pair, points, quote_direction)
 
 

@@ -8,6 +8,7 @@ on the calling thread, so report files are byte-identical across reruns.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import json
 import re
 import reprlib
@@ -149,6 +150,8 @@ _JSON = {
     float: ((int, float), "a number"),
     tuple: (list, "a list"),
 }
+# Each config dataclass's field types, its string annotations evaluated once
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _read(hint, value, where: str, key: str, base: Path):
@@ -183,7 +186,7 @@ def _build(cls, entry, where: str, base: Path):
     """
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {reprlib.repr(entry)}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = sorted(set(entry) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{where}: unknown fields {unknown}")

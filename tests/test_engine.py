@@ -232,6 +232,15 @@ def test_nan_input_is_an_error_naming_it(fn, name):
         fn(*NAN_CASES[name])
 
 
+@pytest.mark.parametrize("steps", [2.5, 60.0, math.inf])
+@pytest.mark.parametrize("fn", [analytic_barrier_probability, simulate_barrier_probability])
+def test_non_integer_steps_are_an_error(fn, steps):
+    # a fractional count once gave the closed form sqrt(2.5) and the Monte
+    # Carlo reference a 2-step walk: 0.2059 against about 0.16
+    with pytest.raises(ValueError, match=f"^n_steps must be an integer, got {steps!r}$"):
+        fn(1.0, 0.1, 0.8, steps)
+
+
 PARAMS = {"seed": 99, "n_paths": 20_000}
 PARAMS_MONO = {"seed": 99, "n_paths": 100_000}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 import re
 
@@ -14,6 +15,7 @@ from fxbarrier import (
     QuoteDirection,
     ingest_price_csv,
     load_consensus_csv,
+    load_crowd_csv,
     parse_forecast_csv,
 )
 from fxbarrier.domain import _PROBABILITY, _RATE
@@ -153,6 +155,10 @@ _VALUES = st.one_of(
     st.floats(min_value=0.0, max_value=2.0),
     st.sampled_from([0.0, 2.0, -1.0, math.nan, math.inf, -math.inf]),
 )
+# Texts that do not parse: a date past the month's end, a slashed date, an
+# empty field; a word, a lone exponent, an empty field.
+_BAD_DATE_TEXTS = st.sampled_from(["2022-01-32", "2022/01/02", ""])
+_BAD_VALUE_TEXTS = st.sampled_from(["abc", "1e", ""])
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,8 +166,8 @@ _VALUES = st.one_of(
     rows=st.lists(
         st.tuples(
             st.sampled_from(["a", "b"]),
-            st.dates(D(2022, 1, 1), D(2022, 1, 10)),
-            _VALUES,
+            st.one_of(st.dates(D(2022, 1, 1), D(2022, 1, 10)), _BAD_DATE_TEXTS),
+            st.one_of(_VALUES, _BAD_VALUE_TEXTS),
         ),
         max_size=12,
     ),
@@ -170,21 +176,28 @@ _VALUES = st.one_of(
     eol=st.sampled_from(["\n", "\r\n"]),
 )
 def test_read_dated_matches_row_by_row_oracle(tmp_path_factory, rows, keyed, bom, eol):
-    """Unsorted rows, CRLF, a BOM, duplicate dates and non-finite values.
+    """Unsorted rows, CRLF, a BOM, duplicate dates, non-finite values, and
+    date and value texts that do not parse.
 
     Two-column files are read with the rate rule and keyed ones with the
-    probability rule, as ingest_price_csv and load_consensus_csv do.
+    probability rule, as ingest_price_csv and load_consensus_csv do. The
+    first row in file order with a bad date, then a bad value, then a value
+    outside the rule, names the fault.
     """
     path = tmp_path_factory.mktemp("dated") / "x.csv"
+    texts = [
+        (k, d if isinstance(d, str) else d.isoformat(), v if isinstance(v, str) else repr(v))
+        for k, d, v in rows
+    ]
     if keyed:
         header, rule = ["question_id", "date", "probability"], _PROBABILITY
-        lines = [f"{k},{d.isoformat()},{v!r}" for k, d, v in rows]
+        lines = [",".join(t) for t in texts]
 
         def valid(v):
             return 0.0 <= v <= 1.0
     else:
         header, rule = ["date", "rate"], _RATE
-        lines = [f"{d.isoformat()},{v!r}" for _, d, v in rows]
+        lines = [f"{d},{v}" for _, d, v in texts]
         rows = [("", d, v) for _, d, v in rows]
 
         def valid(v):
@@ -193,9 +206,16 @@ def test_read_dated_matches_row_by_row_oracle(tmp_path_factory, rows, keyed, bom
     path.write_bytes(text.encode("utf-8"))
     where = re.escape(str(path))
 
-    bad = [i + 2 for i, (_, _, v) in enumerate(rows) if not valid(v)]
-    if bad:
-        with pytest.raises(ValueError, match=rf"^{where}:{bad[0]}: "):
+    for line, (_, d, v), (_, d_text, v_text) in zip(itertools.count(2), rows, texts):
+        if isinstance(d, str):
+            fault = f"bad date {d_text!r}"
+        elif isinstance(v, str):
+            fault = f"bad {rule[0]} {v_text!r}"
+        elif not valid(v):
+            fault = rule[2].format(value=v, date=d)
+        else:
+            continue
+        with pytest.raises(ValueError, match=rf"^{where}:{line}: {re.escape(fault)}$"):
             _read_dated(path, header, rule)
         return
     lines_of: dict[str, dict[dt.date, list[int]]] = {}
@@ -210,3 +230,277 @@ def test_read_dated_matches_row_by_row_oracle(tmp_path_factory, rows, keyed, bom
             return
     expected = {k: tuple(sorted((d, v) for kk, d, v in rows if kk == k)) for k in lines_of}
     assert _read_dated(path, header, rule) == expected
+
+
+def _forecast(path):
+    return parse_forecast_csv(path, "q")
+
+
+_PRICE = "date,rate\n"
+_FORECAST = "date,p\n"
+_CONSENSUS = "question_id,date,probability\n"
+_CROWD = "question_id,forecaster_id,timestamp_rfc3339,probability\n"
+_HUGE = "1" * 131_073  # one field over the csv module's 131,072-character limit
+_OVER_LIMIT = "field larger than field limit (131072)"
+
+# One fault per file, for each reader: (reader, file text, exact message).
+_SINGLE_FAULTS = {
+    "price-empty-file": (ingest_price_csv, "", "{path}: expected header 'date,rate', got None"),
+    "price-header": (
+        ingest_price_csv,
+        "day,price\n2022-01-03,1.0\n",
+        "{path}: expected header 'date,rate', got ['day', 'price']",
+    ),
+    "price-csv-error": (
+        ingest_price_csv,
+        _PRICE + f"2022-01-03,1.0\n2022-01-04,{_HUGE}\n",
+        "{path}:3: " + _OVER_LIMIT,
+    ),
+    "price-field-count": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,1.0\n2022-01-04\n",
+        "{path}:3: expected 2 fields, got 1",
+    ),
+    "price-date": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,1.0\n2022-01-32,1.0\n",
+        "{path}:3: bad date '2022-01-32'",
+    ),
+    "price-date-padded": (
+        ingest_price_csv,
+        _PRICE + " 2022-01-03 ,1.0\n x ,1.0\n",
+        "{path}:3: bad date ' x '",
+    ),
+    "price-value": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,1.0\n2022-01-04,abc\n",
+        "{path}:3: bad rate 'abc'",
+    ),
+    "price-rule": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,1.0\n2022-01-04,-1.5\n",
+        "{path}:3: non-positive or non-finite rate -1.5 at 2022-01-04",
+    ),
+    "price-rule-nan": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,1.0\n2022-01-04,nan\n2022-01-05,1.0\n",
+        "{path}:3: non-positive or non-finite rate nan at 2022-01-04",
+    ),
+    "price-duplicate": (
+        ingest_price_csv,
+        _PRICE + "2022-01-04,1.0\n2022-01-03,1.1\n2022-01-04,1.2\n",
+        "{path}:4: duplicate date 2022-01-04 (duplicate entry of line 2)",
+    ),
+    "price-blank-then-value": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,1.0\n\n2022-01-04,abc\n",
+        "{path}:4: bad rate 'abc'",
+    ),
+    "price-blank-then-field-count": (
+        ingest_price_csv,
+        _PRICE + "\n2022-01-03,1.0\n\n2022-01-04,1.0,2.0\n",
+        "{path}:5: expected 2 fields, got 3",
+    ),
+    "price-blank-then-duplicate": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,1.0\n\n\n2022-01-03,1.1\n",
+        "{path}:5: duplicate date 2022-01-03 (duplicate entry of line 2)",
+    ),
+    "forecast-header": (
+        _forecast,
+        "date,prob\n2022-06-01,0.2\n",
+        "{path}: expected header 'date,p', got ['date', 'prob']",
+    ),
+    "forecast-csv-error": (
+        _forecast,
+        _FORECAST + f"2022-06-01,{_HUGE}\n",
+        "{path}:2: " + _OVER_LIMIT,
+    ),
+    "forecast-field-count": (
+        _forecast,
+        _FORECAST + "2022-06-01,0.2\n2022-06-02,0.3,x\n",
+        "{path}:3: expected 2 fields, got 3",
+    ),
+    "forecast-date": (
+        _forecast,
+        _FORECAST + "2022-06-01,0.2\n2022/06/02,0.3\n",
+        "{path}:3: bad date '2022/06/02'",
+    ),
+    "forecast-value": (
+        _forecast,
+        _FORECAST + "2022-06-01,0.2\n2022-06-02,\n",
+        "{path}:3: bad probability ''",
+    ),
+    "forecast-rule": (
+        _forecast,
+        _FORECAST + "2022-06-01,0.2\n2022-06-02,1.5\n",
+        "{path}:3: value 1.5 at 2022-06-02 outside [0.0, 1.0]",
+    ),
+    "forecast-duplicate": (
+        _forecast,
+        _FORECAST + "2022-06-02,0.3\n2022-06-01,0.2\n2022-06-02,0.4\n",
+        "{path}:4: duplicate date 2022-06-02 (duplicate entry of line 2)",
+    ),
+    "forecast-blank-then-rule": (
+        _forecast,
+        _FORECAST + "\n\n2022-06-01,inf\n",
+        "{path}:4: value inf at 2022-06-01 outside [0.0, 1.0]",
+    ),
+    "consensus-header": (
+        load_consensus_csv,
+        "question_id,date\n",
+        "{path}: expected header 'question_id,date,probability', got ['question_id', 'date']",
+    ),
+    "consensus-csv-error": (
+        load_consensus_csv,
+        _CONSENSUS + f"a,2022-06-01,0.2\n\nb,{_HUGE},0.2\n",
+        "{path}:4: " + _OVER_LIMIT,
+    ),
+    "consensus-field-count": (
+        load_consensus_csv,
+        _CONSENSUS + "a,2022-06-01,0.2\na,2022-06-02\n",
+        "{path}:3: expected 3 fields, got 2",
+    ),
+    "consensus-date": (
+        load_consensus_csv,
+        _CONSENSUS + "a,2022-06-01,0.2\nb,June 2,0.2\n",
+        "{path}:3: bad date 'June 2'",
+    ),
+    "consensus-value": (
+        load_consensus_csv,
+        _CONSENSUS + "a,2022-06-01,0.2\nb,2022-06-01,1e\n",
+        "{path}:3: bad probability '1e'",
+    ),
+    "consensus-rule": (
+        load_consensus_csv,
+        _CONSENSUS + "a,2022-06-01,0.2\nb,2022-06-01,-0.1\n",
+        "{path}:3: value -0.1 at 2022-06-01 outside [0.0, 1.0]",
+    ),
+    "consensus-duplicate": (
+        load_consensus_csv,
+        _CONSENSUS + "a,2022-06-01,0.2\nb,2022-06-01,0.3\n a ,2022-06-01,0.4\n",
+        "{path}:4: duplicate date 2022-06-01 (duplicate entry of line 2)",
+    ),
+    "consensus-blank-then-date": (
+        load_consensus_csv,
+        _CONSENSUS + "a,2022-06-01,0.2\n\nb,,0.2\n",
+        "{path}:4: bad date ''",
+    ),
+    "crowd-header": (
+        load_crowd_csv,
+        "who,when,what\n",
+        "{path}: expected header "
+        "'question_id,forecaster_id,timestamp_rfc3339,probability', got ['who', 'when', 'what']",
+    ),
+    "crowd-csv-error": (
+        load_crowd_csv,
+        _CROWD + f"q,a,2022-06-01T12:00:00Z,0.3\nq,{_HUGE},2022-06-01T12:00:00Z,0.3\n",
+        "{path}:3: " + _OVER_LIMIT,
+    ),
+    "crowd-field-count": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,0.3\nq,b,2022-06-01T12:00:00Z\n",
+        "{path}:3: expected 4 fields, got 3",
+    ),
+    "crowd-timestamp": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,0.3\nq,b,not-a-time,0.4\n",
+        "{path}:3: Invalid isoformat string: 'not-a-time'",
+    ),
+    "crowd-value": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,0.3\nq,b,2022-06-01T12:00:00Z,x\n",
+        "{path}:3: could not convert string to float: 'x'",
+    ),
+    "crowd-rule": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,0.3\n q , b ,2022-06-01T12:00:00Z,1.3\n",
+        "{path}:3: q/b: probability 1.3 outside [0, 1]",
+    ),
+    "crowd-rule-nan": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,0.3\nq,b,2022-06-01T12:00:00Z,nan\n",
+        "{path}:3: q/b: probability nan outside [0, 1]",
+    ),
+    "crowd-blank-then-timestamp": (
+        load_crowd_csv,
+        _CROWD + "\nq,a,2022-06-01T12:00:00Z,0.3\n\nq,b,2022-06-01,0.4\nq,c,12:00,0.4\n",
+        "{path}:6: Invalid isoformat string: '12:00'",
+    ),
+}
+
+# Files with two faults, and the one each reports. The csv module and the
+# field count see the whole file before any content is checked, so their
+# faults win over a content fault on an earlier line. Among content faults
+# the earliest line wins, each row is checked date (or time) first, and
+# duplicates are checked only once every row is valid.
+_TWO_FAULTS = {
+    "price-field-count-after-date": (
+        ingest_price_csv,
+        _PRICE + "x,1.0\n2022-01-04\n",
+        "{path}:3: expected 2 fields, got 1",
+    ),
+    "price-csv-error-after-rule": (
+        ingest_price_csv,
+        _PRICE + f"2022-01-03,0\n2022-01-04,{_HUGE}\n",
+        "{path}:3: " + _OVER_LIMIT,
+    ),
+    "consensus-csv-error-after-value": (
+        load_consensus_csv,
+        _CONSENSUS + f"a,2022-06-01,x\n\nb,2022-06-01,{_HUGE}\n",
+        "{path}:4: " + _OVER_LIMIT,
+    ),
+    "crowd-field-count-after-timestamp": (
+        load_crowd_csv,
+        _CROWD + "q,a,not-a-time,0.3\nq,b\n",
+        "{path}:3: expected 4 fields, got 2",
+    ),
+    "price-header-before-csv-error": (
+        ingest_price_csv,
+        f"day,rate\n2022-01-03,{_HUGE}\n",
+        "{path}: expected header 'date,rate', got ['day', 'rate']",
+    ),
+    "price-rule-before-value": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,-1\n2022-01-04,abc\n",
+        "{path}:2: non-positive or non-finite rate -1.0 at 2022-01-03",
+    ),
+    "price-value-before-date": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,abc\nx,1.0\n",
+        "{path}:2: bad rate 'abc'",
+    ),
+    "price-date-before-value-in-one-row": (
+        ingest_price_csv,
+        _PRICE + "x,abc\n",
+        "{path}:2: bad date 'x'",
+    ),
+    "forecast-value-after-duplicate": (
+        _forecast,
+        _FORECAST + "2022-06-01,0.2\n2022-06-01,0.3\n2022-06-02,2\n",
+        "{path}:4: value 2.0 at 2022-06-02 outside [0.0, 1.0]",
+    ),
+    "crowd-value-before-timestamp": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,-0.5\nq,b,not-a-time,0.4\n",
+        "{path}:2: q/a: probability -0.5 outside [0, 1]",
+    ),
+    "crowd-timestamp-before-value-in-one-row": (
+        load_crowd_csv,
+        _CROWD + "q,a,not-a-time,x\n",
+        "{path}:2: Invalid isoformat string: 'not-a-time'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    list(_SINGLE_FAULTS.values()) + list(_TWO_FAULTS.values()),
+    ids=list(_SINGLE_FAULTS) + list(_TWO_FAULTS),
+)
+def test_reader_fault_message(tmp_path, reader, text, message):
+    path = tmp_path / "x.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == message.format(path=path)
