@@ -16,8 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .domain import _PROBABILITY, ForecastSeries, Question, Source
-from .io import _obeys, _read_rows
+from .domain import ForecastSeries, Question, Source
+from .io import _read_rows
 
 _LOGIT_EPS = 1e-6
 _CROWD_HEADER = ["question_id", "forecaster_id", "timestamp_rfc3339", "probability"]
@@ -35,40 +35,40 @@ def _as_utc(at: dt.datetime) -> dt.datetime:
     return at.astimezone(dt.timezone.utc)
 
 
-@dataclass(frozen=True)
-class CrowdRecord:
+class CrowdRecord(
+    NamedTuple(
+        "CrowdRecord",
+        [("question_id", str), ("forecaster_id", str), ("at", dt.datetime), ("p", float)],
+    )
+):
     """One forecaster's timestamped probability submission on one question.
 
     `at` is stored in UTC: a naive time is taken to be UTC, and an aware one
-    is converted.
+    is converted; a time that UTC cannot hold is a ValueError. `p` is stored
+    as a float in [0, 1]. Every way of building a record checks it: the
+    constructor, `_make`, `_replace`, pickle and copy. As a tuple, a record
+    equals a plain tuple of the same fields and orders like one.
     """
 
-    question_id: str
-    forecaster_id: str
-    at: dt.datetime
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "at", _as_utc(self.at))
-        object.__setattr__(self, "p", float(self.p))
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(
-                f"{self.question_id}/{self.forecaster_id}: probability {self.p} "
-                "outside [0, 1]"
-            )
-
-    @classmethod
-    def _trusted(
+    def __new__(
         cls, question_id: str, forecaster_id: str, at: dt.datetime, p: float
     ) -> CrowdRecord:
-        """A record from a UTC `at` and a float `p` already known to lie in
-        [0, 1], built without checking them again."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "question_id", question_id)
-        object.__setattr__(record, "forecaster_id", forecaster_id)
-        object.__setattr__(record, "at", at)
-        object.__setattr__(record, "p", p)
-        return record
+        try:
+            at = _as_utc(at)
+        except OverflowError as exc:
+            raise ValueError(
+                f"{question_id}/{forecaster_id}: time {at} is out of range in UTC"
+            ) from exc
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{question_id}/{forecaster_id}: probability {p} outside [0, 1]")
+        return tuple.__new__(cls, (question_id, forecaster_id, at, p))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CrowdRecord:  # `_replace` calls it too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -250,35 +250,25 @@ def load_crowd_csv(path: str | Path) -> list[CrowdRecord]:
     """Read crowd records from CSV and sort them by timestamp.
 
     Expected header: question_id,forecaster_id,timestamp_rfc3339,probability.
-    Rows may arrive in any order. The times and the probabilities are each
-    parsed and checked as one column, and the records are then built without
-    checking them again. Only if a column check fails are the rows built one
-    at a time, in file order, so the first malformed row fails with its line
-    number and `CrowdRecord`'s message.
+    Rows may arrive in any order. Each column is converted once, as the
+    records are built and checked in file order, so the first malformed row
+    fails with its line number and the message of its time's parser, of
+    `float` or of `CrowdRecord`.
     """
     path = Path(path)
-    lines, columns = _read_rows(path, _CROWD_HEADER)
-    question_ids, forecaster_ids, times, probabilities = columns
+    lines, (question_ids, forecaster_ids, times, probabilities) = _read_rows(path, _CROWD_HEADER)
+    records: list[CrowdRecord] = []
     try:
-        ats = list(map(_as_utc, map(_parse_rfc3339, times)))
-        ps = list(map(float, probabilities))
-        ok = _obeys(ps, _PROBABILITY[1])
-    except (ValueError, OverflowError):  # OverflowError: an offset moves a time out of range
-        ok = False
-    if not ok:
-        for lineno, qid, fid, time, p in zip(lines, *columns):
-            try:
-                CrowdRecord(qid.strip(), fid.strip(), _parse_rfc3339(time), float(p))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    records = list(
-        map(
-            CrowdRecord._trusted,
-            map(str.strip, question_ids),
-            map(str.strip, forecaster_ids),
-            ats,
-            ps,
+        records.extend(
+            map(
+                CrowdRecord,
+                map(str.strip, question_ids),
+                map(str.strip, forecaster_ids),
+                map(_parse_rfc3339, times),
+                map(float, probabilities),
+            )
         )
-    )
+    except ValueError as exc:  # `records` stops just before the bad row
+        raise ValueError(f"{path}:{lines[len(records)]}: {exc}") from exc
     records.sort(key=operator.attrgetter("at"))
     return records

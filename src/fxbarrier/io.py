@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import datetime as dt
 import operator
@@ -15,12 +17,12 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
     """`(lines, columns)`: the file's non-empty data rows, one tuple of field
     texts per header column, and the line number of each row.
 
-    The header is checked first, then the whole file is read at once: a row the
-    csv module cannot parse (such as a field over its size limit), and then
-    the first row with a wrong field count, is a ValueError naming its line.
-    Both are found before any field is read, so they win over a bad field on
-    an earlier line. Line numbers count rows from the header's 1, blank rows
-    included.
+    The header is checked first, then the whole file is read at once: a byte
+    that is not UTF-8 or a row the csv module cannot parse (such as a field
+    over its size limit), and then the first row with a wrong field count, is
+    a ValueError naming its line. All are found before any field is read, so
+    they win over a bad field on an earlier line. Line numbers count rows from
+    the header's 1, blank rows included.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -33,6 +35,14 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
             rows = list(reader)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded ahead of the rows: find its line in the bytes
+            raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+            for lineno, line in enumerate(raw.splitlines(), start=1):  # splits as csv counts
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise ValueError(f"{path}:{lineno}: {bad}") from exc
+            raise
     width = len(expected_header)
     lines: Sequence[int] = range(2, len(rows) + 2)
     if set(map(len, rows)) - {width}:  # a wrong field count, or a blank row
@@ -44,13 +54,6 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
     return lines, list(zip(*rows)) or [()] * width
 
 
-def _parse_date(text: str, path: Path, lineno: int) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad date {text!r}") from exc
-
-
 def _obeys(values: list[float], valid) -> bool:
     """Whether every value satisfies `valid`, a domain rule's predicate.
 
@@ -60,20 +63,6 @@ def _obeys(values: list[float], valid) -> bool:
     """
     total = sum(values)
     return not values or (total == total and valid(min(values)) and valid(max(values)))
-
-
-def _first_bad_row(path: Path, lines, date_texts, value_texts, rule) -> None:
-    """Raise the fault of the first row, in file order, whose date, then
-    value, then value rule fails; `_read_dated`'s column checks found one."""
-    name, valid, message = rule
-    for lineno, date_text, value_text in zip(lines, date_texts, value_texts):
-        date = _parse_date(date_text, path, lineno)
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad {name} {value_text!r}") from exc
-        if not valid(value):
-            raise ValueError(f"{path}:{lineno}: " + message.format(value=value, date=date))
 
 
 def _date_sorted(path: Path, lines, dates: list, values: list) -> tuple:
@@ -98,22 +87,35 @@ def _read_dated(path: Path, header: list[str], rule) -> dict[str, tuple]:
     all share the key "". Each value must satisfy the domain `rule`
     (`_RATE` or `_PROBABILITY`). Rows may arrive in any order.
 
-    Each column is converted and checked in one pass. Only if a check fails
-    are the rows walked in file order, so the first row with a bad date, a
-    bad value or a value outside the rule fails with its path and line, as
-    a row-by-row read would report it. Then each key whose dates are not
-    already strictly increasing is sorted, and a date repeated under it
-    fails with both lines.
+    Each column is converted once, and each conversion stops at its column's
+    first text that does not parse, so the length of what it converted is the
+    index of that row. The value rule is checked over the whole column, and
+    only if it fails is the column scanned for its first failing row. Of these
+    three rows the earliest fails with its path and line, and on one row the
+    date goes before the value and the value before the rule, as a row-by-row
+    read would report it. Then each key whose dates are not already strictly
+    increasing is sorted, and a date repeated under it fails with both lines.
     """
     lines, (*keys, date_texts, value_texts) = _read_rows(path, header)
-    try:
-        dates = list(map(dt.date.fromisoformat, map(str.strip, date_texts)))
-        values = list(map(float, value_texts))
-        ok = _obeys(values, rule[1])
-    except ValueError:
-        ok = False
-    if not ok:
-        _first_bad_row(path, lines, date_texts, value_texts, rule)
+    name, valid, message = rule
+    dates: list[dt.date] = []
+    values: list[float] = []
+    with contextlib.suppress(ValueError):
+        dates.extend(map(dt.date.fromisoformat, map(str.strip, date_texts)))
+    with contextlib.suppress(ValueError):
+        values.extend(map(float, value_texts))
+    outside = len(values)
+    if not _obeys(values, valid):
+        outside = next(i for i, value in enumerate(values) if not valid(value))
+    row = min(len(dates), len(values), outside)
+    if row < len(lines):
+        if row == len(dates):
+            fault = f"bad date {date_texts[row]!r}"
+        elif row == len(values):
+            fault = f"bad {name} {value_texts[row]!r}"
+        else:
+            fault = message.format(value=values[row], date=dates[row])
+        raise ValueError(f"{path}:{lines[row]}: {fault}")
     if not keys:
         return {"": _date_sorted(path, lines, dates, values)} if dates else {}
     rows_of: dict[str, list[int]] = {}

@@ -234,7 +234,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     with path.open(encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected an object, got {reprlib.repr(raw)}")

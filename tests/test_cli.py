@@ -71,6 +71,17 @@ class TestForecast:
         for line, (d, p) in zip(lines[1:], expected.points):
             assert line == f"{d.isoformat()},{p:.6f}"
 
+    def test_undecodable_price_file_names_its_line(self, price_csv, tmp_path):
+        path = tmp_path / "flt.csv"
+        lines = price_csv.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3]) + b"\xff" + b"".join(lines[3:]))
+        proc = run_cli("forecast", *question_args(price_csv)[2:], "--prices", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {path}:4: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
     def test_deterministic_output(self, price_csv):
         args = ("forecast", *question_args(price_csv), "--seed", "5", "--paths", "500")
         assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -127,6 +138,19 @@ class TestRun:
             proc = run_cli("run", "--config", str(path))
             assert proc.returncode == 2
             assert proc.stderr.startswith("error:") and message in proc.stderr
+
+    def test_out_of_range_crowd_time_fails_with_its_line(self, tmp_path):
+        config = build_config(tmp_path)
+        crowd = tmp_path / "crowd.csv"
+        with crowd.open("a", encoding="utf-8") as fh:
+            fh.write("q-flt,zz,0001-01-01T00:00:00+05:00,0.4\n")
+        line = len(crowd.read_text(encoding="utf-8").splitlines())
+        proc = run_cli("run", "--config", str(config), "--out", str(tmp_path / "cli_out"))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {crowd}:{line}: q-flt/zz: time 0001-01-01 00:00:00+05:00 "
+            "is out of range in UTC\n"
+        )
 
 
 class TestScore:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import datetime as dt
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -436,6 +438,50 @@ class TestRecordTimes:
         r = rec("a", dt.datetime(2022, 6, 2, 8, tzinfo=tokyo), 0.4)
         assert r.at.tzinfo is UTC
         assert (r.at.day, r.at.hour) == (1, 23)
+
+
+_TOKYO = dt.timezone(dt.timedelta(hours=9))
+_PLUS_FIVE = dt.timezone(dt.timedelta(hours=5))
+# Each way of building a record from (at, p) for question "q", forecaster "a".
+_BUILDS = {
+    "constructor": lambda at, p: CrowdRecord("q", "a", at, p),
+    "make": lambda at, p: CrowdRecord._make(["q", "a", at, p]),
+    "replace": lambda at, p: rec("a", ts(1), 0.5)._replace(at=at, p=p),
+}
+
+
+class TestRecordContract:
+    @pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
+    def test_every_way_of_building_checks_the_record(self, build):
+        record = build(dt.datetime(2022, 6, 2, 8, tzinfo=_TOKYO), 1)
+        assert type(record) is CrowdRecord
+        assert record.at == ts(1, 23) and record.at.tzinfo is UTC
+        assert type(record.p) is float and record.p == 1.0
+        with pytest.raises(ValueError, match=r"^q/a: probability 1.5 outside \[0, 1\]$"):
+            build(ts(1), 1.5)
+        with pytest.raises(
+            ValueError, match=r"^q/a: time 0001-01-01 00:00:00\+05:00 is out of range in UTC$"
+        ):
+            build(dt.datetime(1, 1, 1, tzinfo=_PLUS_FIVE), 0.4)
+
+    def test_pickle_and_copy_round_trip_through_the_check(self):
+        record = rec("a", dt.datetime(2022, 6, 2, 8, tzinfo=_TOKYO), 0.4)
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert clone == record and type(clone) is CrowdRecord and clone.at.tzinfo is UTC
+        # a record that skipped the check cannot be unpickled or copied
+        unchecked = tuple.__new__(CrowdRecord, ("q", "a", ts(1), 1.5))
+        with pytest.raises(ValueError, match="probability 1.5"):
+            pickle.loads(pickle.dumps(unchecked))
+        with pytest.raises(ValueError, match="probability 1.5"):
+            copy.copy(unchecked)
+
+    def test_equal_records_compare_and_hash_as_their_fields(self):
+        a = rec("a", dt.datetime(2022, 6, 2, 8, tzinfo=_TOKYO), 0.4)
+        b = rec("a", ts(1, 23), 0.4)
+        assert a == b and hash(a) == hash(b) == hash(("q", "a", ts(1, 23), 0.4))
+        assert len({a, b}) == 1
+        assert a != rec("a", ts(1, 23), 0.5) and a != rec("b", ts(1, 23), 0.4)
+
 
 class TestLoadCrowdCsv:
     def test_rows_sorted_by_timestamp(self, tmp_path):

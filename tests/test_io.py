@@ -427,6 +427,11 @@ _SINGLE_FAULTS = {
         _CROWD + "\nq,a,2022-06-01T12:00:00Z,0.3\n\nq,b,2022-06-01,0.4\nq,c,12:00,0.4\n",
         "{path}:6: Invalid isoformat string: '12:00'",
     ),
+    "crowd-time-out-of-range": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,0.3\nq,b,0001-01-01T00:00:00+05:00,0.4\n",
+        "{path}:3: q/b: time 0001-01-01 00:00:00+05:00 is out of range in UTC",
+    ),
 }
 
 # Files with two faults, and the one each reports. The csv module and the
@@ -490,6 +495,39 @@ _TWO_FAULTS = {
         _CROWD + "q,a,not-a-time,x\n",
         "{path}:2: Invalid isoformat string: 'not-a-time'",
     ),
+    # Each column is converted up to its first text that does not parse, and
+    # the rule is checked only on the values before it: these pin that the
+    # earliest row still wins across the three columns' faults.
+    "price-value-before-rule": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,abc\n2022-01-04,-1\n",
+        "{path}:2: bad rate 'abc'",
+    ),
+    "price-date-before-rule": (
+        ingest_price_csv,
+        _PRICE + "x,1.0\n2022-01-04,-1\n",
+        "{path}:2: bad date 'x'",
+    ),
+    "price-rule-before-date": (
+        ingest_price_csv,
+        _PRICE + "2022-01-03,0\ny,1.0\n",
+        "{path}:2: non-positive or non-finite rate 0.0 at 2022-01-03",
+    ),
+    "consensus-rule-before-date-under-another-key": (
+        load_consensus_csv,
+        _CONSENSUS + "a,2022-06-01,0.2\nb,2022-06-01,1.5\na,June 2,0.3\n",
+        "{path}:3: value 1.5 at 2022-06-01 outside [0.0, 1.0]",
+    ),
+    "crowd-value-before-rule": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,x\nq,b,2022-06-01T12:00:00Z,1.5\n",
+        "{path}:2: could not convert string to float: 'x'",
+    ),
+    "crowd-rule-before-value": (
+        load_crowd_csv,
+        _CROWD + "q,a,2022-06-01T12:00:00Z,1.5\nq,b,2022-06-01T12:00:00Z,x\n",
+        "{path}:2: q/a: probability 1.5 outside [0, 1]",
+    ),
 }
 
 
@@ -501,6 +539,51 @@ _TWO_FAULTS = {
 def test_reader_fault_message(tmp_path, reader, text, message):
     path = tmp_path / "x.csv"
     path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == message.format(path=path)
+
+
+# Bytes that are not UTF-8, for each reader: (reader, file bytes, exact
+# message). Lines end at \r, \n or \r\n, as the csv module counts them, and
+# the position counts bytes from the start of the line.
+_UNDECODABLE = {
+    "price": (
+        ingest_price_csv,
+        b"\xef\xbb\xbfdate,rate\r\n2022-01-03,1.0\r\n2022-01-04,1.0\r2022-01-05,1\xff.0\n",
+        "{path}:4: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+    ),
+    "price-past-the-first-read": (
+        ingest_price_csv,
+        _PRICE.encode() + b"2022-01-03,1.0\n" * 1000 + b"2022-01-04,\xff\n",
+        "{path}:1002: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+    ),
+    "forecast": (
+        _forecast,
+        b"date,p\n2022-06-01,0.2\n\n2022-06-02,0.\xe93\n",
+        "{path}:4: 'utf-8' codec can't decode byte 0xe9 in position 13: "
+        "invalid continuation byte",
+    ),
+    "consensus": (
+        load_consensus_csv,
+        _CONSENSUS.encode() + b"\xc3(,2022-06-01,0.2\n",
+        "{path}:2: 'utf-8' codec can't decode byte 0xc3 in position 0: "
+        "invalid continuation byte",
+    ),
+    "crowd": (
+        load_crowd_csv,
+        b"question_id,forecaster_id\xff,timestamp_rfc3339,probability\n",
+        "{path}:1: 'utf-8' codec can't decode byte 0xff in position 25: invalid start byte",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, data, message", list(_UNDECODABLE.values()), ids=list(_UNDECODABLE)
+)
+def test_undecodable_byte_names_its_line(tmp_path, reader, data, message):
+    path = tmp_path / "x.csv"
+    path.write_bytes(data)
     with pytest.raises(ValueError) as info:
         reader(path)
     assert str(info.value) == message.format(path=path)

@@ -64,6 +64,16 @@ class TestConfig:
         # n_paths and workers are retired: accepted, and dropped
         assert config == load_config(path, step_mode="calendar_days")
 
+    def test_undecodable_config_names_its_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"output_dir": "\xff"}')
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            f"{path}: invalid JSON ('utf-8' codec can't decode byte 0xff in position 16: "
+            "invalid start byte)"
+        )
+
     def test_unknown_override_is_an_error(self, tmp_path):
         path = build_config(tmp_path)
         with pytest.raises(TypeError, match="n_path"):
