@@ -34,7 +34,6 @@ from .domain import (
 )
 from .engine import (
     StepMode,
-    VolatilityEstimate,
     analytic_barrier_probability,
     estimate_volatility,
     remaining_steps,
@@ -76,7 +75,6 @@ __all__ = [
     "Source",
     "StepMode",
     "ThresholdKind",
-    "VolatilityEstimate",
     "align_series",
     "analytic_barrier_probability",
     "barrier_rate",

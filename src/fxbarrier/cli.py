@@ -24,7 +24,12 @@ from .scoring import score_series
 
 
 def _date(text: str) -> dt.date:
-    return dt.date.fromisoformat(text)
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an ISO date (YYYY-MM-DD), got {text!r}"
+        ) from None
 
 
 def _add_question_args(parser: argparse.ArgumentParser) -> None:

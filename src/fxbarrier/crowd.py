@@ -199,7 +199,10 @@ def combine_logit(ps: Iterable[float], a: float) -> float:
         clamped = min(max(p, _LOGIT_EPS), 1.0 - _LOGIT_EPS)
         logits.append(math.log(clamped / (1.0 - clamped)))
     pooled = a * math.fsum(logits) / len(logits)
-    return 1.0 / (1.0 + math.exp(-pooled))
+    try:
+        return 1.0 / (1.0 + math.exp(-pooled))
+    except OverflowError:  # pooled below about -709.8, where the logistic is exp(pooled)
+        return math.exp(pooled)
 
 
 def _end_of_day(date: dt.date) -> dt.datetime:

@@ -80,8 +80,8 @@ class PriceSeries:
 
     Dates are strictly increasing, every rate is positive and finite, and
     calendar gaps (weekends, holidays) are preserved exactly as observed.
-    `dates`, `rate_diffs` and `diff_sums` are computed on first use and kept
-    on the instance; they are not fields, so equality, hashing and repr see
+    `dates` and `diff_sums` are computed on first use and kept on the
+    instance; they are not fields, so equality, hashing and repr see
     only the points.
     """
 
@@ -121,21 +121,17 @@ class PriceSeries:
         return tuple(r for _, r in self.points)
 
     @cached_property
-    def rate_diffs(self) -> tuple[float, ...]:
-        """First differences: rate_diffs[i] = rate[i+1] - rate[i]."""
-        rates = self.rates
-        return tuple(b - a for a, b in zip(rates, rates[1:]))
-
-    @cached_property
     def diff_sums(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """`(e, s1, s2)`: exact prefix sums of `rate_diffs` and of their squares.
+        """`(e, s1, s2)`: exact prefix sums of the daily diffs and of their squares.
 
+        The diffs rate[i+1] - rate[i] are taken from `rates` in one pass.
         Every diff times 2**e is an integer, where 2**e is the largest
         denominator of `float.as_integer_ratio` among the diffs, and
         s1[j] and s2[j] are the sums of the first j of those integers and of
         their squares. Python ints hold them exactly, whatever the rates.
         """
-        ratios = [d.as_integer_ratio() for d in self.rate_diffs]
+        rates = self.rates
+        ratios = [(b - a).as_integer_ratio() for a, b in zip(rates, rates[1:])]
         e = max((q.bit_length() - 1 for _, q in ratios), default=0)
         scaled = [p << (e + 1 - q.bit_length()) for p, q in ratios]
         return (

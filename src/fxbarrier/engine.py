@@ -20,7 +20,6 @@ import datetime as dt
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 
 from .domain import (
@@ -58,34 +57,19 @@ def _reject_nan(**values: float) -> None:
             raise ValueError(f"{name} must not be NaN")
 
 
-@dataclass(frozen=True)
-class VolatilityEstimate:
-    """Sample standard deviation of daily increments up to `as_of`."""
-
-    as_of: dt.date
-    sigma_h: float
-    n_obs: int
-
-    def __post_init__(self) -> None:
-        if self.sigma_h < 0:
-            raise ValueError("sigma_h must be nonnegative")
-        if self.n_obs < 2:
-            raise ValueError("need at least 2 increments")
-
-
-def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstimate:
-    """Volatility of daily first differences using data on or before `as_of`.
+def estimate_volatility(series: PriceSeries, as_of: dt.date) -> float:
+    """sigma_h, as a float, from the daily first differences on or before `as_of`.
 
     Increments are taken between consecutive observations (a weekend gap is
     one increment) and sigma_h is their n-1 sample standard deviation, so the
     estimate is in rate units per step. Raises on fewer than 3 observations.
-    The increments are a prefix of `series.rate_diffs`, whose exact prefix
-    sums `series.diff_sums` the first call on a series builds in one O(n)
-    pass; each call after that costs one bisect and one division of Python
-    ints, which rounds correctly, so sigma_h is the square root of the exact
-    sample variance rounded once to a float. A variance that is not zero but
-    rounds to 0.0 or overflows a float is a ValueError naming the pair and
-    `as_of`, never a sigma_h of 0.0 or inf.
+    The first call on a series builds `series.diff_sums`, the exact prefix
+    sums of all its increments, in one O(n) pass; each call after that costs
+    one bisect and one division of Python ints, which rounds correctly, so
+    sigma_h is the square root of the exact sample variance rounded once to
+    a float. A variance that is not zero but rounds to 0.0 or overflows a
+    float is a ValueError naming the pair and `as_of`, never a sigma_h of 0.0
+    or inf.
     """
     k = bisect_right(series.dates, as_of)
     if k < 3:
@@ -106,7 +90,7 @@ def estimate_volatility(series: PriceSeries, as_of: dt.date) -> VolatilityEstima
             f"{series.pair_id}: the variance of daily increments up to {as_of} "
             f"{'overflows' if variance else 'underflows'} a float"
         )
-    return VolatilityEstimate(as_of=as_of, sigma_h=math.sqrt(variance), n_obs=m)
+    return math.sqrt(variance)
 
 
 def _crossing_probability(d_over_sigma: float, n_steps: int, n_paths: int, seed: int) -> float:
@@ -246,6 +230,6 @@ def rolling_forecast(
     barrier = sign * barrier_rate(question, series.quote_direction)
     days = []
     for (d, rate), n_steps in zip(series.points[lo:hi], steps):
-        sigma = estimate_volatility(series, d).sigma_h
+        sigma = estimate_volatility(series, d)
         days.append((d, analytic_barrier_probability(sign * rate, sigma, barrier, n_steps)))
     return ForecastSeries(question.question_id, Source.RANDOM_WALK, tuple(days))

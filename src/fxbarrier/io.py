@@ -21,8 +21,10 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
     that is not UTF-8 or a row the csv module cannot parse (such as a field
     over its size limit), and then the first row with a wrong field count, is
     a ValueError naming its line. All are found before any field is read, so
-    they win over a bad field on an earlier line. Line numbers count rows from
-    the header's 1, blank rows included.
+    they win over a bad field on an earlier line. A row's line is its first
+    physical line, counted as the csv module counts them from the header's 1,
+    blank rows included; only a file whose rows do not all take one line each
+    is read a second time to number them.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -45,6 +47,11 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
             raise
     width = len(expected_header)
     lines: Sequence[int] = range(2, len(rows) + 2)
+    if reader.line_num != len(rows) + 1:  # a quoted field holds a line break
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            ends = [reader.line_num for _ in reader]  # last lines of the header and each row
+        lines = [end + 1 for end in ends[:-1]]
     if set(map(len, rows)) - {width}:  # a wrong field count, or a blank row
         for lineno, row in zip(lines, rows):
             if row and len(row) != width:

@@ -64,7 +64,7 @@ def golden_random_walk_days():
         sign = series.quote_direction.sign
         barrier = sign * fx.barrier_rate(question, series.quote_direction)
         for d, p in fx.parse_forecast_csv(emitted, spec.question_id).points:
-            sigma = fx.estimate_volatility(series, d).sigma_h
+            sigma = fx.estimate_volatility(series, d)
             n_steps = fx.remaining_steps(d, question.close_date, config.step_mode)
             days.append((sign * series.rate_on(d), sigma, barrier, n_steps, p))
     return {"seed": raw["seed"], "n_paths": raw["n_paths"]}, days

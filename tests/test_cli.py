@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,18 @@ def question_args(price_csv, threshold="0.05"):
         "--threshold-value",
         threshold,
     ]
+
+
+@pytest.mark.parametrize("command", ["forecast", "score"])
+def test_bad_date_flag_names_the_flag(price_csv, tmp_path, command):
+    extra = ["--forecast", str(tmp_path / "unread.csv")] if command == "score" else []
+    for flag in ("--open", "--close", "--scoring-start", "--history-start"):
+        proc = run_cli(command, *question_args(price_csv), *extra, flag, "2022-13-01")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1] == (
+            f"fxbarrier {command}: error: argument {flag}: "
+            "expected an ISO date (YYYY-MM-DD), got '2022-13-01'"
+        )
 
 
 class TestForecast:
@@ -151,6 +165,21 @@ class TestRun:
             f"error: {crowd}:{line}: q-flt/zz: time 0001-01-01 00:00:00+05:00 "
             "is out of range in UTC\n"
         )
+
+
+    def test_large_extremize_a_saturates_combined(self, tmp_path):
+        golden = Path(__file__).parent / "data" / "golden_run"
+        shutil.copytree(golden, tmp_path / "golden", ignore=shutil.ignore_patterns("expected"))
+        config = tmp_path / "golden" / "config.json"
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["consensus"]["extremize_a"] = 1000.0
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        combined = (out / "forecast_gold-flt_combined.csv").read_text(encoding="utf-8")
+        values = {float(line.split(",")[1]) for line in combined.splitlines()[1:]}
+        assert values and values <= {0.0, 1.0}
 
 
 class TestScore:

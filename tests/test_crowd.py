@@ -255,6 +255,15 @@ class TestCombineLogit:
         with pytest.raises(ValueError, match="at least one"):
             combine_logit([], 2.0)
 
+    def test_pool_past_the_float_range_saturates(self):
+        # below a pooled logit of about -709.8, exp(-pooled) overflows a
+        # float; the logistic there is exp(pooled), which may be subnormal
+        assert combine_logit([0.0, 1e-9], 60.0) == logit_oracle([0.0, 1e-9], 60.0) == 0.0
+        assert combine_logit([1.0, 1.0 - 1e-9], 60.0) == 1.0
+        for a in (51.3, 51.5, 53.0):
+            got = combine_logit([0.0], a)
+            assert 0.0 < got == pytest.approx(logit_oracle([0.0], a), rel=1e-9), a
+
 
 def make_question(dates):
     return Question(
@@ -309,6 +318,13 @@ class TestCrowdSeries:
         params = ConsensusParams(method="logit_combine", extremize_a=2.0)
         series = crowd_series(records, make_question(dates), dates, params)
         assert series.values[0] == pytest.approx(6.0 / 7.0, abs=1e-12)
+
+    def test_logit_combine_saturates_for_a_large_extremize_a(self):
+        dates = [D(2022, 6, 2)]
+        records = [rec("a", ts(1, 9), 0.0), rec("b", ts(1, 15), 1e-9)]
+        params = ConsensusParams(method="logit_combine", extremize_a=60.0)
+        series = crowd_series(records, make_question(dates), dates, params)
+        assert series.values == (0.0,)
 
     def test_other_questions_records_are_ignored(self):
         dates = [D(2022, 6, 2)]

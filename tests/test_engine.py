@@ -60,20 +60,18 @@ class TestEstimateVolatility:
     def test_constant_series_has_zero_sigma(self):
         series = series_from([1.0, 1.0, 1.0, 1.0])
         est = estimate_volatility(series, series.dates[-1])
-        assert est.sigma_h == 0.0
-        assert est.n_obs == 3
+        assert est == 0.0
 
     def test_constant_increments_have_zero_sigma(self):
         series = series_from([1.0, 2.0, 3.0, 4.0])
-        assert estimate_volatility(series, series.dates[-1]).sigma_h == 0.0
+        assert estimate_volatility(series, series.dates[-1]) == 0.0
 
     def test_hand_example_matches_sample_stdev(self):
         rates = [1.00, 1.01, 0.99, 1.02]
         series = series_from(rates)
         expected = statistics.stdev([b - a for a, b in zip(rates, rates[1:])])
         est = estimate_volatility(series, series.dates[-1])
-        assert est.sigma_h == pytest.approx(expected, rel=1e-12)
-        assert est.n_obs == 3
+        assert est == pytest.approx(expected, rel=1e-12)
 
     def test_requires_three_observations(self):
         series = series_from([1.0, 1.0, 1.0, 1.0])
@@ -107,9 +105,8 @@ class TestEstimateVolatility:
                     estimate_volatility(series, day)
             else:
                 est = estimate_volatility(series, day)
-                assert est.sigma_h == exact_sigma(prefix)
-                assert_near_np_std(est.sigma_h, prefix)
-                assert est.n_obs == len(prefix) - 1
+                assert est == exact_sigma(prefix)
+                assert_near_np_std(est, prefix)
             day += dt.timedelta(days=1)
 
     def test_long_prefixes_match_np_std(self):
@@ -120,9 +117,9 @@ class TestEstimateVolatility:
         rates = series.rates
         for k in range(3, len(series) + 1):
             est = estimate_volatility(series, series.dates[k - 1])
-            assert_near_np_std(est.sigma_h, rates[:k])
+            assert_near_np_std(est, rates[:k])
             if k % 37 == 0:
-                assert est.sigma_h == exact_sigma(rates[:k]), k
+                assert est == exact_sigma(rates[:k]), k
 
     @pytest.mark.parametrize(
         "rates, word",
@@ -147,7 +144,7 @@ class TestEstimateVolatility:
     def test_tiny_variance_inside_the_float_range_is_kept(self):
         # a subnormal variance is not zero, so sigma_h is its square root
         rates = [2**-500, 2**-500 + 2**-530, 2**-500, 2**-500 + 2**-530]
-        sigma = estimate_volatility(series_from(rates), weekday_dates(D(2022, 1, 3), 4)[-1]).sigma_h
+        sigma = estimate_volatility(series_from(rates), weekday_dates(D(2022, 1, 3), 4)[-1])
         assert sigma == exact_sigma(rates) > 0.0
 
     def test_threads_racing_to_fill_the_cache_agree(self):
@@ -164,7 +161,7 @@ class TestEstimateVolatility:
 
                 def work(day):
                     start.wait()
-                    got[day] = estimate_volatility(series, day).sigma_h
+                    got[day] = estimate_volatility(series, day)
 
                 threads = [threading.Thread(target=work, args=(d,)) for d in days]
                 for t in threads:
@@ -554,7 +551,7 @@ class TestRollingForecast:
         for d, p in forecast.points:
             vol = estimate_volatility(series, d)
             steps = remaining_steps(d, question.close_date, StepMode.TRADING_DAYS)
-            ana = analytic_barrier_probability(series.rate_on(d), vol.sigma_h, barrier, steps)
+            ana = analytic_barrier_probability(series.rate_on(d), vol, barrier, steps)
             assert abs(p - ana) <= 0.02, d
 
     def test_insufficient_history_propagates(self):
@@ -611,7 +608,7 @@ class TestRollingForecast:
         for d, p in forecast.points:
             vol = estimate_volatility(series, d)
             steps = remaining_steps(d, question.close_date, StepMode.TRADING_DAYS)
-            ana = analytic_barrier_probability(-series.rate_on(d), vol.sigma_h, -barrier, steps)
+            ana = analytic_barrier_probability(-series.rate_on(d), vol, -barrier, steps)
             assert abs(p - ana) <= 0.02, d
 
 
@@ -626,7 +623,7 @@ class TestClosedFormForecast:
         expected = []
         for d, rate in series.points:
             if question.scoring_start <= d < resolve_date:
-                sigma = estimate_volatility(series, d).sigma_h
+                sigma = estimate_volatility(series, d)
                 n_steps = remaining_steps(d, question.close_date, step_mode)
                 p = analytic_barrier_probability(sign * rate, sigma, sign * barrier, n_steps)
                 expected.append((d, p))

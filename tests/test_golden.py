@@ -86,7 +86,7 @@ def test_random_walk_forecasts_track_analytic(golden_report):
             barrier = open_rate * (1.0 - spec.threshold_value)
             sign = 1.0
         for d, p in fs.points:
-            sigma = estimate_volatility(series, d).sigma_h
+            sigma = estimate_volatility(series, d)
             steps = remaining_steps(d, spec.close_date, config.step_mode)
             ana = analytic_barrier_probability(
                 sign * series.rate_on(d), sigma, sign * barrier, steps

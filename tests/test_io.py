@@ -432,6 +432,27 @@ _SINGLE_FAULTS = {
         _CROWD + "q,a,2022-06-01T12:00:00Z,0.3\nq,b,0001-01-01T00:00:00+05:00,0.4\n",
         "{path}:3: q/b: time 0001-01-01 00:00:00+05:00 is out of range in UTC",
     ),
+    # A quoted field may hold a line break; a row's line is its first one.
+    "price-value-after-line-break": (
+        ingest_price_csv,
+        _PRICE + '"2022-01-03\n",1.0\n2022-01-04,abc\n',
+        "{path}:4: bad rate 'abc'",
+    ),
+    "price-duplicate-after-line-break": (
+        ingest_price_csv,
+        _PRICE + '2022-01-03,1.0\n"2022-01-04\n",1.1\n2022-01-04,1.2\n',
+        "{path}:5: duplicate date 2022-01-04 (duplicate entry of line 3)",
+    ),
+    "crowd-rule-after-line-break": (
+        load_crowd_csv,
+        _CROWD + 'q,"a\n\n",2022-06-01T12:00:00Z,0.3\nq,b,2022-06-01T12:00:00Z,1.3\n',
+        "{path}:5: q/b: probability 1.3 outside [0, 1]",
+    ),
+    "consensus-key-after-line-break": (
+        load_consensus_csv,
+        _CONSENSUS + '"a\n",2022-06-01,0.2\nb,2022-06-01,0.3\na,2022-06-01,0.4\n',
+        "{path}:5: duplicate date 2022-06-01 (duplicate entry of line 2)",
+    ),
 }
 
 # Files with two faults, and the one each reports. The csv module and the
