@@ -30,7 +30,6 @@ from .domain import (
     ThresholdKind,
     barrier_rate,
     resolve,
-    threshold_rate,
 )
 from .engine import (
     StepMode,
@@ -50,7 +49,7 @@ from .pipeline import (
     load_config,
     run_pipeline,
 )
-from .scoring import MeanScoreCurve, brier, mean_score_curve, score_series
+from .scoring import brier, mean_score_curve, score_series
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "ConsensusParams",
     "CrowdRecord",
     "ForecastSeries",
-    "MeanScoreCurve",
     "PairedSample",
     "PriceFileSpec",
     "PriceSeries",
@@ -99,5 +97,4 @@ __all__ = [
     "score_series",
     "simulate_barrier_probability",
     "t_test",
-    "threshold_rate",
 ]

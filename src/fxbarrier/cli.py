@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .calibration import align_series, ols_fit
-from .domain import QuoteDirection, Source, ThresholdKind, forecast_days, resolve
+from .domain import QuoteDirection, Source, ThresholdKind, forecast_days, resolve_closed
 from .engine import StepMode, rolling_forecast
 from .io import ingest_price_csv, parse_forecast_csv
 from .pipeline import (
@@ -90,7 +90,7 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_score(args) -> int:
     series, question = _build_question(args)
-    resolution = resolve(series, question)
+    resolution = resolve_closed(series, question)
     forecast = parse_forecast_csv(
         args.forecast, question.question_id, Source(args.source)
     )

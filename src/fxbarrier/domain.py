@@ -213,15 +213,15 @@ class Question:
 
 @dataclass(frozen=True)
 class Resolution:
-    """Binary outcome of a question: k=1 on the crossing day, k=0 at close."""
+    """Outcome of a question: k=1 on the crossing day, k=0 at close, None while open."""
 
     question_id: str
-    outcome: int
+    outcome: int | None
     resolve_date: dt.date
 
     def __post_init__(self) -> None:
-        if self.outcome not in (0, 1):
-            raise ValueError(f"{self.question_id}: outcome must be 0 or 1")
+        if self.outcome not in (0, 1, None):
+            raise ValueError(f"{self.question_id}: outcome must be 0, 1 or None")
 
 
 @dataclass(frozen=True)
@@ -259,39 +259,30 @@ class ForecastSeries:
 ScoreSeries = ForecastSeries
 
 
-def threshold_rate(question: Question) -> float:
-    """Barrier level implied by the question, in dollars-per-currency terms.
-
-    Relative questions put the barrier at baseline * (1 - threshold_value);
-    absolute questions state the level directly.
-    """
-    if question.threshold_kind is ThresholdKind.RELATIVE_DEPRECIATION:
-        return question.baseline_rate * (1.0 - question.threshold_value)
-    return question.threshold_value
-
-
 def barrier_rate(question: Question, direction: QuoteDirection) -> float:
     """Barrier level in the units the price series is quoted in.
 
-    For currency-per-dollar quotes a depreciation means the rate rises, and a
-    relative loss of value v maps to baseline / (1 - v) since the quoted rate
-    is the reciprocal of the currency's dollar value.
+    An absolute question states it. A relative loss of value v puts it at
+    baseline * (1 - v) in dollars per currency, and at baseline / (1 - v) in
+    currency per dollar, the reciprocal quote, where a depreciation raises the rate.
     """
     direction = QuoteDirection(direction)
+    if question.threshold_kind is ThresholdKind.ABSOLUTE_LEVEL:
+        return question.threshold_value
     if direction is QuoteDirection.USD_PER_CCY:
-        return threshold_rate(question)
-    if question.threshold_kind is ThresholdKind.RELATIVE_DEPRECIATION:
-        return question.baseline_rate / (1.0 - question.threshold_value)
-    return question.threshold_value
+        return question.baseline_rate * (1.0 - question.threshold_value)
+    return question.baseline_rate / (1.0 - question.threshold_value)
 
 
 def resolve(series: PriceSeries, question: Question) -> Resolution:
     """Resolve a question against daily closes.
 
     k=1 on the first observed date in (open_date, close_date] at which the
-    barrier is touched or crossed, else k=0 at close_date. Intraday moves are
-    invisible at this data granularity. Data after the resolve date never
-    affects the result. The window is found by bisect on `series.dates`.
+    barrier is touched or crossed. Without a crossing the question is open,
+    outcome None at close_date, if the series ends before the last weekday on
+    or before close_date (a holiday there included), and else k=0 at close_date.
+    Intraday moves are invisible at this data granularity. No rate after the
+    resolve date affects the result. The window is found by bisect on `series.dates`.
     """
     if series.pair_id != question.pair_id:
         raise ValueError(
@@ -310,7 +301,21 @@ def resolve(series: PriceSeries, question: Question) -> Resolution:
     for d, r in in_window:
         if d > question.open_date and sign * r <= barrier:
             return Resolution(question.question_id, 1, d)
-    return Resolution(question.question_id, 0, question.close_date)
+    close = question.close_date
+    last_weekday = close - dt.timedelta(days=max(0, close.weekday() - 4))
+    outcome = None if series.dates[-1] < last_weekday else 0
+    return Resolution(question.question_id, outcome, close)
+
+
+def resolve_closed(series: PriceSeries, question: Question) -> Resolution:
+    """`resolve`, with an open question a ValueError naming the series' last date."""
+    resolution = resolve(series, question)
+    if resolution.outcome is None:
+        raise ValueError(
+            f"{question.question_id}: open: {series.pair_id} data ends "
+            f"{series.dates[-1]}, before close {question.close_date}, without a crossing"
+        )
+    return resolution
 
 
 def forecast_days(question: Question, resolution: Resolution) -> frozenset[dt.date]:

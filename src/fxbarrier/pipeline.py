@@ -29,13 +29,17 @@ from .domain import (
     Source,
     ThresholdKind,
     forecast_days,
-    resolve,
+    resolve_closed,
 )
 from .engine import StepMode, rolling_forecast
 from .io import ingest_price_csv, load_consensus_csv
-from .scoring import MeanScoreCurve, mean_score_curve, score_series
+from .scoring import mean_score_curve, score_series
 
 _QID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_REPORT_FILE = re.compile(  # every name emit_report writes but resolutions.csv
+    r"((forecast|scores)_.*_|mean_scores_)(random_walk|crowd|combined)\.csv"
+    r"|mean_scores_crowd_only\.csv|calibration\.txt"
+)
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ class RunConfig:
             raise ValueError("config defines no questions")
         known = set(pairs)
         for q in self.questions:
-            if not _QID_RE.match(q.question_id):
+            if not _QID_RE.fullmatch(q.question_id):
                 raise ValueError(
                     f"question_id {q.question_id!r} must match {_QID_RE.pattern}"
                 )
@@ -174,8 +178,8 @@ def _read(hint, value, where: str, key: str, base: Path):
         if hint is Path:
             return (base / value).resolve()
         return hint(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: bad value for {key!r}: {value!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
+        raise ValueError(f"{where}: bad value for {key!r}: {reprlib.repr(value)}") from exc
 
 
 def _build(cls, entry, where: str, base: Path):
@@ -234,7 +238,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     with path.open(encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        except ValueError as exc:  # not JSON, not UTF-8, or an int over the digit limit
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected an object, got {reprlib.repr(raw)}")
@@ -270,7 +274,7 @@ class RunReport:
 
     results: dict[str, QuestionResult]
     errors: dict[str, str]
-    mean_curves: dict[str, MeanScoreCurve]
+    mean_curves: dict[str, tuple[tuple[dt.date, float, int], ...]]
     regression: RegressionResult | None
     warnings: list[str]
 
@@ -289,7 +293,7 @@ def _run_question(
     neither scored nor kept, so it never reaches the report.
     """
     series, question = spec.to_question(prices[spec.pair_id])
-    resolution = resolve(series, question)
+    resolution = resolve_closed(series, question)
     forecasts: dict[Source, ForecastSeries] = {}
     if not spec.non_floating:
         forecasts[Source.RANDOM_WALK] = rolling_forecast(series, question, step_mode)
@@ -454,7 +458,9 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
     per source in a result's `forecasts`, which holds only sources with a
     forecast day, mean_scores_<name>.csv per curve, resolutions.csv for every
     configured question (with any per-question error), and calibration.txt
-    when a regression was fitted. Returns the written paths, sorted.
+    when a regression was fitted. Any other file with such a name in
+    `output_dir` is removed, so a reused directory holds one report; files
+    with other names are left alone. Returns the written paths, sorted.
     """
     files: dict[str, str] = {}
     for qid, result in report.results.items():
@@ -463,7 +469,7 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
             files[f"forecast_{qid}_{source.value}.csv"] = format_series("p", fs.points)
             files[f"scores_{qid}_{source.value}.csv"] = format_series("score", ss.points)
     for name, curve in report.mean_curves.items():
-        rows = "".join(f"{d.isoformat()},{m:.6f},{n}\n" for d, m, n in curve.points)
+        rows = "".join(f"{d.isoformat()},{m:.6f},{n}\n" for d, m, n in curve)
         files[f"mean_scores_{name}.csv"] = "date,mean_score,n_open\n" + rows
 
     rows = []
@@ -480,6 +486,9 @@ def emit_report(report: RunReport, output_dir: str | Path) -> list[Path]:
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for path in out.iterdir():
+        if path.name not in files and _REPORT_FILE.fullmatch(path.name):
+            path.unlink()
     for name, text in files.items():
         (out / name).write_text(text, encoding="utf-8", newline="\n")
     return sorted(out / name for name in files)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 from typing import Iterable
 
-from .domain import ForecastSeries, Resolution, ScoreSeries, Source
+from .domain import ForecastSeries, Resolution, ScoreSeries
 
 
 def brier(p: float, k: int) -> float:
@@ -25,30 +24,14 @@ def score_series(forecast: ForecastSeries, resolution: Resolution) -> ScoreSerie
             f"question mismatch: forecast {forecast.question_id!r} vs resolution "
             f"{resolution.question_id!r}"
         )
+    if resolution.outcome is None:
+        raise ValueError(f"{resolution.question_id}: an open question has no outcome to score")
     points = tuple((d, brier(p, resolution.outcome)) for d, p in forecast.points)
     return ScoreSeries(forecast.question_id, forecast.source, points)
 
 
-@dataclass(frozen=True)
-class MeanScoreCurve:
-    """Per-date mean score over the questions still open, with their count."""
-
-    source: Source
-    points: tuple[tuple[dt.date, float, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", Source(self.source))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(d for d, _, _ in self.points)
-
-
-def mean_score_curve(scores: Iterable[ScoreSeries]) -> MeanScoreCurve:
-    """Average the given score series date by date.
+def mean_score_curve(scores: Iterable[ScoreSeries]) -> tuple[tuple[dt.date, float, int], ...]:
+    """Average the given score series date by date, as `(date, mean, n_open)` points.
 
     The curve has a point on every date any series scores. At each date the
     mean runs over exactly the questions that have a score that day, so
@@ -67,4 +50,4 @@ def mean_score_curve(scores: Iterable[ScoreSeries]) -> MeanScoreCurve:
     for d in sorted({d for m in maps for d in m}):
         vals = [m[d] for m in maps if d in m]
         points.append((d, sum(vals) / len(vals), len(vals)))
-    return MeanScoreCurve(sources.pop(), tuple(points))
+    return tuple(points)

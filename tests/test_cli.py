@@ -316,3 +316,143 @@ class TestCalibrate:
         proc = run_cli("calibrate", "--x-file", str(a), "--crowd-file", str(b))
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+
+class TestOpenQuestion:
+    """Price data that ends on 2022-05-06, before a close on 2022-06-30.
+
+    Without a crossing by then the question is open: `forecast` runs through
+    the last observed day, `score` is an error, and `run` reports the open
+    question as its error. A crossing before the data ends still resolves it.
+    """
+
+    close = "2022-06-30"
+
+    @staticmethod
+    def barrier(series):
+        """A barrier at the lowest rate in the 24 days after the open, and its first touch."""
+        lowest = min(series.rates[16:40])
+        return lowest, series.dates[16 + series.rates[16:40].index(lowest)]
+
+    def args(self, price_csv, crossing: bool) -> list[str]:
+        series = ingest_price_csv(price_csv, "FLTUSD")
+        threshold = ["--threshold-value", "0.5"]
+        if crossing:
+            threshold = ["--threshold-kind", "absolute_level", "--threshold-value"]
+            threshold.append(repr(self.barrier(series)[0]))
+        return [
+            "--prices", str(price_csv), "--pair-id", "FLTUSD",
+            "--open", series.dates[15].isoformat(), "--close", self.close, *threshold,
+        ]
+
+    def test_forecast_runs_through_the_last_observed_day(self, price_csv):
+        series = ingest_price_csv(price_csv, "FLTUSD")
+        assert series.dates[-1] == dt.date(2022, 5, 6)
+        proc = run_cli("forecast", *self.args(price_csv, crossing=False))
+        assert proc.returncode == 0, proc.stderr
+        dates = [line.split(",")[0] for line in proc.stdout.splitlines()[1:]]
+        assert dates == [d.isoformat() for d in series.dates[15:]]
+
+    def test_forecast_stops_at_a_crossing(self, price_csv):
+        series = ingest_price_csv(price_csv, "FLTUSD")
+        crossed = self.barrier(series)[1]
+        proc = run_cli("forecast", *self.args(price_csv, crossing=True))
+        assert proc.returncode == 0, proc.stderr
+        dates = [line.split(",")[0] for line in proc.stdout.splitlines()[1:]]
+        assert dates == [d.isoformat() for d in series.dates[15 : series.dates.index(crossed)]]
+
+    def forecast_file(self, tmp_path, series) -> Path:
+        path = tmp_path / "forecast.csv"
+        crossed = self.barrier(series)[1]
+        days = series.dates[15 : series.dates.index(crossed)]
+        path.write_text("date,p\n" + "".join(f"{d},0.2\n" for d in days), encoding="utf-8")
+        return path
+
+    def test_score_is_an_error_naming_the_last_date_and_the_close(self, price_csv, tmp_path):
+        series = ingest_price_csv(price_csv, "FLTUSD")
+        forecast = self.forecast_file(tmp_path, series)
+        proc = run_cli("score", *self.args(price_csv, crossing=False), "--forecast", str(forecast))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: question: open: FLTUSD data ends 2022-05-06, before close 2022-06-30, "
+            "without a crossing\n"
+        )
+
+    def test_score_after_a_crossing_uses_k_1(self, price_csv, tmp_path):
+        series = ingest_price_csv(price_csv, "FLTUSD")
+        forecast = self.forecast_file(tmp_path, series)
+        proc = run_cli("score", *self.args(price_csv, crossing=True), "--forecast", str(forecast))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "date,score" and len(lines) > 1
+        assert all(line.endswith(",0.640000") for line in lines[1:])  # (1 - 0.2)^2
+
+    def run_past_the_data(self, tmp_path, crossing: bool):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        flt = raw["questions"][0]
+        flt["close_date"] = self.close
+        series = ingest_price_csv(tmp_path / "prices" / "flt.csv", "FLTUSD")
+        if crossing:
+            flt.update(threshold_kind="absolute_level", threshold_value=self.barrier(series)[0])
+        else:
+            flt["threshold_value"] = 0.5
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "cli_out"
+        proc = run_cli("run", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = (out / "resolutions.csv").read_text(encoding="utf-8").splitlines()
+        return proc, out, series, rows
+
+    def test_run_reports_an_open_question_and_scores_nothing_for_it(self, tmp_path):
+        proc, out, _, rows = self.run_past_the_data(tmp_path, crossing=False)
+        message = (
+            "q-flt: open: FLTUSD data ends 2022-05-06, before close 2022-06-30, without a crossing"
+        )
+        assert rows[1] == f'q-flt,,,"{message}"'
+        assert f"q-flt: failed ({message})" in proc.stdout
+        assert not [p.name for p in out.iterdir() if "q-flt" in p.name]
+
+    def test_run_resolves_a_crossing_before_the_data_ends(self, tmp_path):
+        _, out, series, rows = self.run_past_the_data(tmp_path, crossing=True)
+        assert rows[1] == f"q-flt,1,{self.barrier(series)[1]},"
+        assert (out / "scores_q-flt_random_walk.csv").is_file()
+
+
+class TestConfigErrors:
+    def test_question_id_with_a_trailing_newline_writes_nothing(self, tmp_path):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["questions"][0]["question_id"] = "q-flt\n"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "cli_out"
+        proc = run_cli("run", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {path}: question_id 'q-flt\\n' must match ^[A-Za-z0-9._-]+$\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, key, digits",
+        [
+            ("questions", "threshold_value", 401),
+            ("consensus", "extremize_a", 401),
+            # over Python's 4,300-digit limit for int text, where it has one (3.10.7+)
+            ("questions", "threshold_value", 5001),
+        ],
+    )
+    def test_a_number_a_float_cannot_hold_names_the_file(self, tmp_path, entry, key, digits):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        (raw[entry][0] if entry == "questions" else raw[entry])[key] = "HUGE"
+        text = json.dumps(raw).replace('"HUGE"', "1" + "0" * (digits - 1))
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli("run", "--config", str(path), "--out", str(tmp_path / "cli_out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {path}: ")
+        assert len(proc.stderr.splitlines()) == 1
+        if digits < 4300:
+            where = "questions[0]" if entry == "questions" else entry
+            assert f"{path}: {where}: bad value for {key!r}: 1000" in proc.stderr

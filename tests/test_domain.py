@@ -7,17 +7,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxbarrier import (
     ForecastSeries,
     PriceSeries,
     Question,
     QuoteDirection,
+    Resolution,
     ScoreSeries,
     barrier_rate,
     resolve,
-    threshold_rate,
+    rolling_forecast,
+    score_series,
 )
+from fxbarrier.domain import resolve_closed
 
 from conftest import random_walk_series, weekday_dates
 
@@ -45,10 +50,12 @@ def series_from(rates: list[float], start: D = D(2022, 6, 1), **kwargs) -> Price
 
 class TestThresholdRate:
     def test_relative_fifteen_percent(self):
-        assert threshold_rate(make_question(baseline_rate=1.0, threshold_value=0.15)) == 0.85
+        q = make_question(baseline_rate=1.0, threshold_value=0.15)
+        assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == 0.85
 
     def test_relative_half(self):
-        assert threshold_rate(make_question(baseline_rate=2.0, threshold_value=0.5)) == 1.0
+        q = make_question(baseline_rate=2.0, threshold_value=0.5)
+        assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == 1.0
 
     def test_absolute_parity(self):
         q = make_question(
@@ -57,7 +64,7 @@ class TestThresholdRate:
             threshold_kind="absolute_level",
             threshold_value=1.0,
         )
-        assert threshold_rate(q) == 1.0
+        assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == 1.0
 
     def test_relative_threshold_below_baseline(self):
         rng = np.random.default_rng(0)
@@ -66,12 +73,99 @@ class TestThresholdRate:
                 baseline_rate=float(rng.uniform(0.1, 200.0)),
                 threshold_value=float(rng.uniform(0.01, 0.99)),
             )
-            assert threshold_rate(q) < q.baseline_rate
+            assert barrier_rate(q, QuoteDirection.USD_PER_CCY) < q.baseline_rate
 
     def test_ccy_per_usd_barrier_is_reciprocal_loss(self):
         q = make_question(baseline_rate=130.0, threshold_value=0.15)
         assert barrier_rate(q, QuoteDirection.CCY_PER_USD) == pytest.approx(130.0 / 0.85)
         assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == pytest.approx(130.0 * 0.85)
+
+
+def two_function_barrier(question: Question, direction) -> float:
+    """The barrier as the dollar-terms `threshold_rate` plus `barrier_rate` once gave it."""
+    direction = QuoteDirection(direction)
+    relative = question.threshold_kind.value == "relative_depreciation"
+    if direction is QuoteDirection.USD_PER_CCY:
+        if relative:
+            return question.baseline_rate * (1.0 - question.threshold_value)
+        return question.threshold_value
+    if relative:
+        return question.baseline_rate / (1.0 - question.threshold_value)
+    return question.threshold_value
+
+
+class TestBarrierRate:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        direction=st.sampled_from(list(QuoteDirection) + [d.value for d in QuoteDirection]),
+        relative=st.booleans(),
+        baseline=st.floats(1e-300, 1e300),
+        value=st.floats(1e-300, 1e300),
+        fraction=st.floats(5e-324, 1.0, exclude_max=True),
+    )
+    def test_same_bits_as_the_two_functions_it_replaced(
+        self, direction, relative, baseline, value, fraction
+    ):
+        q = make_question(
+            baseline_rate=baseline,
+            threshold_kind="relative_depreciation" if relative else "absolute_level",
+            threshold_value=fraction if relative else value,
+        )
+        got, want = barrier_rate(q, direction), two_function_barrier(q, direction)
+        assert got.hex() == want.hex()
+
+    def test_bad_direction_is_an_error_for_every_kind(self):
+        absolute = make_question(threshold_kind="absolute_level", threshold_value=0.9)
+        for q in (make_question(), absolute):
+            with pytest.raises(ValueError, match="'down' is not a valid QuoteDirection"):
+                barrier_rate(q, "down")
+
+
+class TestOpenQuestion:
+    """Data that ends before the close leaves a question open unless it crossed."""
+
+    # a week of history before the open on 2022-06-01, then data to Tuesday 06-07
+    history = [1.0, 1.01, 0.99, 1.0, 1.02]
+
+    def test_no_crossing_before_the_data_ends_is_open(self):
+        series = series_from(self.history + [1.0, 0.95, 0.90, 0.92, 0.91], start=D(2022, 5, 25))
+        q = make_question(close_date=D(2022, 6, 30))
+        assert resolve(series, q) == Resolution("q", None, D(2022, 6, 30))
+        with pytest.raises(ValueError) as info:
+            resolve_closed(series, q)
+        assert str(info.value) == (
+            "q: open: EURUSD data ends 2022-06-07, before close 2022-06-30, without a crossing"
+        )
+        # the forecast still runs through the last observed day
+        assert rolling_forecast(series, q).dates == series.dates[5:]
+        forecast = ForecastSeries("q", "random_walk", ((D(2022, 6, 1), 0.3),))
+        with pytest.raises(ValueError, match="^q: an open question has no outcome to score$"):
+            score_series(forecast, resolve(series, q))
+
+    def test_a_crossing_before_the_data_ends_resolves_yes(self):
+        series = series_from(self.history + [1.0, 0.95, 0.80, 0.90], start=D(2022, 5, 25))
+        q = make_question(close_date=D(2022, 6, 30))
+        crossed = Resolution("q", 1, series.dates[7])
+        assert resolve(series, q) == resolve_closed(series, q) == crossed
+        assert rolling_forecast(series, q).dates == series.dates[5:7]
+
+    def test_the_close_counts_from_its_last_weekday(self):
+        series = series_from([1.0, 0.95, 0.90, 0.92, 0.91])  # ends Tuesday 2022-06-07
+        for close, outcome in [
+            (D(2022, 6, 7), 0),
+            (D(2022, 6, 5), 0),  # a Sunday: data after it reached the close
+            (D(2022, 6, 8), None),  # Wednesday has no close yet, or is a holiday
+        ]:
+            assert resolve(series, make_question(close_date=close)).outcome == outcome
+        friday = series_from([1.0, 0.95, 0.90], start=D(2022, 6, 8))  # Wed .. Fri 06-10
+        for sunday_or_saturday in (D(2022, 6, 11), D(2022, 6, 12)):
+            q = make_question(open_date=D(2022, 6, 8), close_date=sunday_or_saturday)
+            assert resolve(friday, q).outcome == 0
+
+    def test_resolution_takes_an_open_outcome_and_nothing_else(self):
+        assert Resolution("q", None, D(2022, 6, 30)).outcome is None
+        with pytest.raises(ValueError, match="outcome must be 0, 1 or None"):
+            Resolution("q", 2, D(2022, 6, 30))
 
 
 class TestResolve:
@@ -152,7 +246,11 @@ def scan_resolve(series: PriceSeries, question: Question):
             seen = True
             if d > question.open_date and sign * r <= barrier:
                 return 1, d
-    return (0, question.close_date) if seen else None
+    # open while the data stops before the close's last weekday (Mon-Fri)
+    weekdays = [question.close_date - dt.timedelta(days=i) for i in range(7)]
+    last_weekday = next(d for d in weekdays if d.weekday() < 5)
+    outcome = None if series.dates[-1] < last_weekday else 0
+    return (outcome, question.close_date) if seen else None
 
 
 class TestResolveWindow:

@@ -112,14 +112,14 @@ def test_mean_curves_recompute_from_scores(golden_report):
         for r in report.results.values()
         if Source.RANDOM_WALK in r.scores
     ]
-    for d, m, n in report.mean_curves["random_walk"].points:
+    for d, m, n in report.mean_curves["random_walk"]:
         vals = [mp[d] for mp in rw_maps if d in mp]
         assert n == len(vals)
         assert m == pytest.approx(sum(vals) / len(vals), abs=1e-15)
     # the crossing question drops out of the curve after its resolve date
     inv_res = report.results["gold-inv"].resolution
-    after = [n for d, _, n in report.mean_curves["random_walk"].points if d >= inv_res.resolve_date]
-    before = [n for d, _, n in report.mean_curves["random_walk"].points if d < inv_res.resolve_date]
+    after = [n for d, _, n in report.mean_curves["random_walk"] if d >= inv_res.resolve_date]
+    before = [n for d, _, n in report.mean_curves["random_walk"] if d < inv_res.resolve_date]
     assert max(before) == 2
     assert set(after) == {1}
 

@@ -214,6 +214,19 @@ class TestRunPipeline:
         b = run_to_dir(path, tmp_path / "out_b")
         assert a == b
 
+    def test_a_reused_output_directory_holds_only_the_last_run(self, tmp_path_factory):
+        first = build_config(tmp_path_factory.mktemp("first"))
+        second = build_config(tmp_path_factory.mktemp("second"), with_crowd=False)
+        fresh = run_to_dir(second, tmp_path_factory.mktemp("fresh"))
+        out = tmp_path_factory.mktemp("reused")
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        assert "calibration.txt" in run_to_dir(first, out)
+        config = load_config(second, output_dir=out)
+        written = emit_report(run_pipeline(config), out)
+        assert written == sorted(out / name for name in fresh)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert files == {**fresh, "notes.txt": b"kept\n"}
+
     def test_parallelism_does_not_change_bytes(self, tmp_path):
         # workers is retired and accepted as a no-op: it must not alter output
         path = build_config(tmp_path)
@@ -455,7 +468,7 @@ class TestRunPipeline:
             if Source.RANDOM_WALK in r.scores
         ]
         maps = [dict(s.points) for s in scores]
-        for d, m, n in curve.points:
+        for d, m, n in curve:
             vals = [mp[d] for mp in maps if d in mp]
             assert n == len(vals)
             assert m == pytest.approx(sum(vals) / len(vals))
@@ -495,7 +508,7 @@ class TestRunPipeline:
             "scores_q-wkd_crowd.csv",
         }
         peg_days = report.results["q-peg"].scores[Source.CROWD].dates
-        open_count = {d: n for d, _, n in report.mean_curves["crowd_only"].points}
+        open_count = {d: n for d, _, n in report.mean_curves["crowd_only"]}
         assert wkd.scores[Source.CROWD].dates == weekend
         for d in weekend:
             assert open_count[d] == 1 + (d in peg_days)

@@ -111,22 +111,22 @@ class TestMeanScoreCurve:
         dates = weekday_dates(D(2022, 6, 1), 3)
         s = score("a", dates, [0.1, 0.2, 0.3])
         curve = mean_score_curve([s])
-        assert [(d, m) for d, m, _ in curve.points] == list(s.points)
-        assert all(n == 1 for _, _, n in curve.points)
+        assert [(d, m) for d, m, _ in curve] == list(s.points)
+        assert all(n == 1 for _, _, n in curve)
 
     def test_two_questions_average(self):
         dates = weekday_dates(D(2022, 6, 1), 1)
         curve = mean_score_curve([score("a", dates, [0.1]), score("b", dates, [0.3])])
-        assert curve.points == ((dates[0], 0.2, 2),)
+        assert curve == ((dates[0], 0.2, 2),)
 
     def test_early_resolution_drops_out(self):
         dates = weekday_dates(D(2022, 6, 1), 3)
         a = score("a", dates, [0.1, 0.1, 0.1])
         b = score("b", dates[:1], [0.3])
         curve = mean_score_curve([a, b])
-        assert curve.points[0] == (dates[0], pytest.approx(0.2), 2)
-        assert curve.points[1] == (dates[1], pytest.approx(0.1), 1)
-        assert curve.points[2] == (dates[2], pytest.approx(0.1), 1)
+        assert curve[0] == (dates[0], pytest.approx(0.2), 2)
+        assert curve[1] == (dates[1], pytest.approx(0.1), 1)
+        assert curve[2] == (dates[2], pytest.approx(0.1), 1)
 
     def test_mean_within_contributing_bounds(self):
         rng = np.random.default_rng(4)
@@ -137,7 +137,7 @@ class TestMeanScoreCurve:
         ]
         curve = mean_score_curve(series)
         maps = [dict(s.points) for s in series]
-        for d, m, n in curve.points:
+        for d, m, n in curve:
             vals = [mp[d] for mp in maps if d in mp]
             assert len(vals) == n
             assert min(vals) <= m <= max(vals)
