@@ -42,7 +42,6 @@ from .engine import (
 from .io import ingest_price_csv, load_consensus_csv, parse_forecast_csv
 from .pipeline import (
     PriceFileSpec,
-    QuestionSpec,
     RunConfig,
     RunReport,
     emit_report,
@@ -62,7 +61,6 @@ __all__ = [
     "PriceFileSpec",
     "PriceSeries",
     "Question",
-    "QuestionSpec",
     "QuoteDirection",
     "RegressionResult",
     "Resolution",

@@ -8,11 +8,10 @@ import sys
 from pathlib import Path
 
 from .calibration import align_series, ols_fit
-from .domain import QuoteDirection, Source, ThresholdKind, forecast_days, resolve_closed
+from .domain import Question, QuoteDirection, Source, ThresholdKind, forecast_days, resolve_closed
 from .engine import StepMode, rolling_forecast
 from .io import ingest_price_csv, parse_forecast_csv
 from .pipeline import (
-    QuestionSpec,
     check_retired,
     emit_report,
     format_regression,
@@ -63,7 +62,7 @@ def _build_question(args) -> tuple:
     series = ingest_price_csv(
         args.prices, args.pair_id, QuoteDirection(args.quote_direction)
     )
-    spec = QuestionSpec(
+    question = Question(
         question_id=args.question_id,
         pair_id=series.pair_id,
         open_date=args.open_date,
@@ -74,7 +73,7 @@ def _build_question(args) -> tuple:
         scoring_start_date=args.scoring_start,
         history_start=args.history_start,
     )
-    return spec.to_question(series)
+    return series, question
 
 
 def _cmd_forecast(args) -> int:

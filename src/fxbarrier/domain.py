@@ -162,33 +162,45 @@ class PriceSeries:
 class Question:
     """A barrier event: will the currency hit its depreciation threshold before close?
 
+    Without a `baseline_rate`, a relative barrier is measured from the first
+    observed rate on or after the open date (`barrier_rate`).
     `scoring_start_date` marks the first day forecasts are produced and scored;
     it defaults to `open_date` and exists so a harness can skip days before a
-    question was actually live.
+    question was actually live. `history_start` drops earlier rates from
+    volatility estimation (`rolling_forecast`), and `non_floating` marks
+    pegged currencies the random walk cannot forecast.
     """
 
     question_id: str
     pair_id: str
     open_date: dt.date
     close_date: dt.date
-    baseline_rate: float
     threshold_kind: ThresholdKind
     threshold_value: float
+    baseline_rate: float | None = None
     scoring_start_date: dt.date | None = None
+    history_start: dt.date | None = None
+    non_floating: bool = False
 
     def __post_init__(self) -> None:
+        # a truthy string such as "false" would silently drop the random walk
+        if not isinstance(self.non_floating, bool):
+            raise ValueError(
+                f"{self.question_id}: non_floating must be a bool, got {self.non_floating!r}"
+            )
         object.__setattr__(self, "threshold_kind", ThresholdKind(self.threshold_kind))
-        object.__setattr__(self, "baseline_rate", float(self.baseline_rate))
         object.__setattr__(self, "threshold_value", float(self.threshold_value))
         if self.open_date >= self.close_date:
             raise ValueError(
                 f"{self.question_id}: open_date {self.open_date} must precede "
                 f"close_date {self.close_date}"
             )
-        if not 0.0 < self.baseline_rate < math.inf:
-            raise ValueError(
-                f"{self.question_id}: baseline_rate must be positive and finite"
-            )
+        if self.baseline_rate is not None:
+            object.__setattr__(self, "baseline_rate", float(self.baseline_rate))
+            if not 0.0 < self.baseline_rate < math.inf:
+                raise ValueError(
+                    f"{self.question_id}: baseline_rate must be positive and finite"
+                )
         if self.threshold_kind is ThresholdKind.RELATIVE_DEPRECIATION:
             if not 0.0 < self.threshold_value < 1.0:
                 raise ValueError(
@@ -204,6 +216,11 @@ class Question:
             raise ValueError(
                 f"{self.question_id}: scoring_start_date must lie in "
                 "[open_date, close_date)"
+            )
+        if self.history_start is not None and self.history_start > self.open_date:
+            raise ValueError(
+                f"{self.question_id}: history_start {self.history_start} is "
+                f"after open_date {self.open_date}"
             )
 
     @property
@@ -259,19 +276,27 @@ class ForecastSeries:
 ScoreSeries = ForecastSeries
 
 
-def barrier_rate(question: Question, direction: QuoteDirection) -> float:
-    """Barrier level in the units the price series is quoted in.
+def barrier_rate(question: Question, series: PriceSeries) -> float:
+    """Barrier level in the units `series` is quoted in.
 
     An absolute question states it. A relative loss of value v puts it at
     baseline * (1 - v) in dollars per currency, and at baseline / (1 - v) in
-    currency per dollar, the reciprocal quote, where a depreciation raises the rate.
+    currency per dollar, the reciprocal quote, where a depreciation raises the
+    rate. The baseline is `question.baseline_rate`, or else the series' first
+    rate on or after the open date.
     """
-    direction = QuoteDirection(direction)
     if question.threshold_kind is ThresholdKind.ABSOLUTE_LEVEL:
         return question.threshold_value
-    if direction is QuoteDirection.USD_PER_CCY:
-        return question.baseline_rate * (1.0 - question.threshold_value)
-    return question.baseline_rate / (1.0 - question.threshold_value)
+    baseline = question.baseline_rate
+    if baseline is None:
+        baseline = series.first_rate_on_or_after(question.open_date)
+        if baseline is None:
+            raise ValueError(
+                f"insufficient data: no observation on or after {question.open_date}"
+            )
+    if series.quote_direction is QuoteDirection.USD_PER_CCY:
+        return baseline * (1.0 - question.threshold_value)
+    return baseline / (1.0 - question.threshold_value)
 
 
 def resolve(series: PriceSeries, question: Question) -> Resolution:
@@ -297,7 +322,7 @@ def resolve(series: PriceSeries, question: Question) -> Resolution:
             f"[{question.open_date}, {question.close_date}]"
         )
     sign = series.quote_direction.sign
-    barrier = sign * barrier_rate(question, series.quote_direction)
+    barrier = sign * barrier_rate(question, series)
     for d, r in in_window:
         if d > question.open_date and sign * r <= barrier:
             return Resolution(question.question_id, 1, d)

@@ -218,16 +218,19 @@ def rolling_forecast(
     the remaining steps to close are counted under `step_mode`, and the
     crossing probability from the day-d close is the closed form
     `analytic_barrier_probability`, so a forecast depends only on information
-    available on that day. The days are found by bisect on `series.dates`,
-    and their steps are counted in one call.
+    available on that day. Rates before the question's `history_start`, if it
+    has one, are dropped first. The days are found by bisect on
+    `series.dates`, and their steps are counted in one call.
     """
+    if question.history_start is not None:
+        series = series.window(start=question.history_start)
     resolution = resolve(series, question)
     # the observed days among forecast_days(question, resolution)
     lo = bisect_left(series.dates, question.scoring_start)
     hi = bisect_left(series.dates, resolution.resolve_date)
     steps = _steps_to_close(series.dates[lo:hi], question.close_date, step_mode)
     sign = series.quote_direction.sign
-    barrier = sign * barrier_rate(question, series.quote_direction)
+    barrier = sign * barrier_rate(question, series)
     days = []
     for (d, rate), n_steps in zip(series.points[lo:hi], steps):
         sigma = estimate_volatility(series, d)

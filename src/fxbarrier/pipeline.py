@@ -27,7 +27,6 @@ from .domain import (
     Resolution,
     ScoreSeries,
     Source,
-    ThresholdKind,
     forecast_days,
     resolve_closed,
 )
@@ -50,68 +49,11 @@ class PriceFileSpec:
 
 
 @dataclass(frozen=True)
-class QuestionSpec:
-    """One question as configured; the baseline may be derived from prices.
-
-    When baseline_rate is absent it defaults to the first observed rate on or
-    after the open date. history_start trims the price series before
-    volatility estimation (some questions use longer pre-open windows), and
-    non_floating marks pegged currencies the random walk cannot forecast.
-    """
-
-    question_id: str
-    pair_id: str
-    open_date: dt.date
-    close_date: dt.date
-    threshold_kind: ThresholdKind
-    threshold_value: float
-    baseline_rate: float | None = None
-    scoring_start_date: dt.date | None = None
-    history_start: dt.date | None = None
-    non_floating: bool = False
-
-    def __post_init__(self) -> None:
-        # a truthy string such as "false" would silently drop the random walk
-        if not isinstance(self.non_floating, bool):
-            raise ValueError(
-                f"{self.question_id}: non_floating must be a bool, got {self.non_floating!r}"
-            )
-
-    def to_question(self, series: PriceSeries) -> tuple[PriceSeries, Question]:
-        """The question on `series`, and the series trimmed to history_start."""
-        if self.history_start is not None:
-            if self.history_start > self.open_date:
-                raise ValueError(
-                    f"{self.question_id}: history_start {self.history_start} is "
-                    f"after open_date {self.open_date}"
-                )
-            series = series.window(start=self.history_start)
-        baseline = self.baseline_rate
-        if baseline is None:
-            baseline = series.first_rate_on_or_after(self.open_date)
-            if baseline is None:
-                raise ValueError(
-                    f"insufficient data: no observation on or after {self.open_date}"
-                )
-        question = Question(
-            question_id=self.question_id,
-            pair_id=self.pair_id,
-            open_date=self.open_date,
-            close_date=self.close_date,
-            baseline_rate=baseline,
-            threshold_kind=self.threshold_kind,
-            threshold_value=self.threshold_value,
-            scoring_start_date=self.scoring_start_date,
-        )
-        return series, question
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """A whole run: its inputs, how forecast steps are counted, and where to write."""
 
     price_files: tuple[PriceFileSpec, ...]
-    questions: tuple[QuestionSpec, ...]
+    questions: tuple[Question, ...]
     step_mode: StepMode = StepMode.TRADING_DAYS
     consensus: ConsensusParams = ConsensusParams()
     crowd_file: Path | None = None
@@ -238,7 +180,8 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     with path.open(encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # not JSON, not UTF-8, or an int over the digit limit
+        # not JSON, not UTF-8, an int over the digit limit, or nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected an object, got {reprlib.repr(raw)}")
@@ -280,7 +223,7 @@ class RunReport:
 
 
 def _run_question(
-    spec: QuestionSpec,
+    question: Question,
     prices: dict[str, PriceSeries],
     crowd_records: list[CrowdRecord],
     external: dict[str, ForecastSeries],
@@ -292,14 +235,14 @@ def _run_question(
     A source whose series has no forecast day is dropped here, once: it is
     neither scored nor kept, so it never reaches the report.
     """
-    series, question = spec.to_question(prices[spec.pair_id])
+    series = prices[question.pair_id]
     resolution = resolve_closed(series, question)
     forecasts: dict[Source, ForecastSeries] = {}
-    if not spec.non_floating:
+    if not question.non_floating:
         forecasts[Source.RANDOM_WALK] = rolling_forecast(series, question, step_mode)
     days = forecast_days(question, resolution)
-    if spec.question_id in external:
-        ext = external[spec.question_id]
+    if question.question_id in external:
+        ext = external[question.question_id]
         points = tuple(pt for pt in ext.points if pt[0] in days)
         forecasts[Source.CROWD] = ForecastSeries(ext.question_id, ext.source, points)
     elif crowd_records:
@@ -323,8 +266,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
     Questions run in id order on the calling thread; a failure is recorded
     in the report, not raised, unless every question fails. Results do not
     depend on the config's order of questions or price files.
-    External consensus points outside their question's window are dropped
-    with a warning, as `fxbarrier score` drops them.
+    An external consensus series is used in place of its question's crowd
+    records, with a warning when there are any. Its points outside the
+    question's window are dropped with a warning, as `fxbarrier score` drops them.
     """
     warnings: list[str] = []
     prices: dict[str, PriceSeries] = {}
@@ -360,26 +304,28 @@ def run_pipeline(config: RunConfig) -> RunReport:
 
     results: dict[str, QuestionResult] = {}
     errors: dict[str, str] = {}
-    for spec in sorted(config.questions, key=lambda q: q.question_id):
-        if spec.pair_id in price_errors:
-            errors[spec.question_id] = price_errors[spec.pair_id]
+    for q in sorted(config.questions, key=lambda q: q.question_id):
+        if q.pair_id in price_errors:
+            errors[q.question_id] = price_errors[q.pair_id]
             continue
         try:
-            crowd = crowd_by_question.get(spec.question_id, [])
-            results[spec.question_id] = _run_question(
-                spec, prices, crowd, external, config.step_mode, config.consensus
+            crowd = crowd_by_question.get(q.question_id, [])
+            results[q.question_id] = _run_question(
+                q, prices, crowd, external, config.step_mode, config.consensus
             )
         except ValueError as exc:
-            errors[spec.question_id] = str(exc)
+            errors[q.question_id] = str(exc)
             continue
-        if spec.question_id in external:  # _run_question kept its points in the window
-            result = results[spec.question_id]
-            dropped = len(external[spec.question_id]) - len(result.forecasts.get(Source.CROWD, ()))
+        if q.question_id in external:  # _run_question kept its points in the window
+            where = f"consensus file {config.external_consensus_file}: {q.question_id}"
+            if crowd:
+                warnings.append(f"{where}: used in place of {len(crowd)} crowd records")
+            result = results[q.question_id]
+            dropped = len(external[q.question_id]) - len(result.forecasts.get(Source.CROWD, ()))
             if dropped:
-                q, end = result.question, result.resolution.resolve_date
+                end = result.resolution.resolve_date
                 warnings.append(
-                    f"consensus file {config.external_consensus_file}: {q.question_id}: "
-                    f"dropped {dropped} points outside [{q.scoring_start}, {end})"
+                    f"{where}: dropped {dropped} points outside [{q.scoring_start}, {end})"
                 )
     if not results:
         details = "; ".join(f"{qid}: {msg}" for qid, msg in sorted(errors.items()))

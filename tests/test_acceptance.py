@@ -53,17 +53,15 @@ def golden_random_walk_days():
     raw = json.loads((golden / "config.json").read_text(encoding="utf-8"))
     files = {pf.pair_id: pf for pf in config.price_files}
     days = []
-    for spec in config.questions:
-        if spec.non_floating:
+    for question in config.questions:
+        if question.non_floating:
             continue
-        emitted = golden / "expected" / f"forecast_{spec.question_id}_random_walk.csv"
-        pf = files[spec.pair_id]
-        series, question = spec.to_question(
-            fx.ingest_price_csv(pf.path, pf.pair_id, pf.quote_direction)
-        )
+        emitted = golden / "expected" / f"forecast_{question.question_id}_random_walk.csv"
+        pf = files[question.pair_id]
+        series = fx.ingest_price_csv(pf.path, pf.pair_id, pf.quote_direction)
         sign = series.quote_direction.sign
-        barrier = sign * fx.barrier_rate(question, series.quote_direction)
-        for d, p in fx.parse_forecast_csv(emitted, spec.question_id).points:
+        barrier = sign * fx.barrier_rate(question, series)
+        for d, p in fx.parse_forecast_csv(emitted, question.question_id).points:
             sigma = fx.estimate_volatility(series, d)
             n_steps = fx.remaining_steps(d, question.close_date, config.step_mode)
             days.append((sign * series.rate_on(d), sigma, barrier, n_steps, p))
@@ -252,9 +250,9 @@ def test_criterion_9_end_to_end_statistical_sanity():
             f"P{i}",
             dates[9],
             dates[-1],
-            float(rates[9]),
             "relative_depreciation",
             threshold,
+            float(rates[9]),
         )
         resolution = fx.resolve(series, question)
         forecast = fx.rolling_forecast(series, question)

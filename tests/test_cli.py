@@ -434,6 +434,28 @@ class TestConfigErrors:
         )
         assert not out.exists()
 
+    def test_a_static_question_fault_writes_nothing(self, tmp_path):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["questions"][0]["threshold_value"] = 1.5
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "cli_out"
+        proc = run_cli("run", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {path}: questions[0]: q-flt: relative threshold must lie in (0, 1)\n"
+        )
+        assert not out.exists()
+
+    def test_a_config_nested_too_deep_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        depth = 100_000  # far past the interpreter's recursion limit
+        path.write_text('{"questions": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        proc = run_cli("run", "--config", str(path), "--out", str(tmp_path / "cli_out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {path}: invalid JSON (maximum recursion depth")
+        assert len(proc.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "entry, key, digits",
         [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 from fractions import Fraction
 
@@ -48,14 +49,19 @@ def series_from(rates: list[float], start: D = D(2022, 6, 1), **kwargs) -> Price
     return PriceSeries(kwargs.pop("pair_id", "EURUSD"), tuple(zip(dates, rates)), **kwargs)
 
 
+# empty series that carry only a quote direction, for barriers with a baseline
+USD_QUOTE = PriceSeries("P", (), QuoteDirection.USD_PER_CCY)
+CCY_QUOTE = PriceSeries("P", (), QuoteDirection.CCY_PER_USD)
+
+
 class TestThresholdRate:
     def test_relative_fifteen_percent(self):
         q = make_question(baseline_rate=1.0, threshold_value=0.15)
-        assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == 0.85
+        assert barrier_rate(q, USD_QUOTE) == 0.85
 
     def test_relative_half(self):
         q = make_question(baseline_rate=2.0, threshold_value=0.5)
-        assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == 1.0
+        assert barrier_rate(q, USD_QUOTE) == 1.0
 
     def test_absolute_parity(self):
         q = make_question(
@@ -64,7 +70,7 @@ class TestThresholdRate:
             threshold_kind="absolute_level",
             threshold_value=1.0,
         )
-        assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == 1.0
+        assert barrier_rate(q, USD_QUOTE) == 1.0
 
     def test_relative_threshold_below_baseline(self):
         rng = np.random.default_rng(0)
@@ -73,12 +79,12 @@ class TestThresholdRate:
                 baseline_rate=float(rng.uniform(0.1, 200.0)),
                 threshold_value=float(rng.uniform(0.01, 0.99)),
             )
-            assert barrier_rate(q, QuoteDirection.USD_PER_CCY) < q.baseline_rate
+            assert barrier_rate(q, USD_QUOTE) < q.baseline_rate
 
     def test_ccy_per_usd_barrier_is_reciprocal_loss(self):
         q = make_question(baseline_rate=130.0, threshold_value=0.15)
-        assert barrier_rate(q, QuoteDirection.CCY_PER_USD) == pytest.approx(130.0 / 0.85)
-        assert barrier_rate(q, QuoteDirection.USD_PER_CCY) == pytest.approx(130.0 * 0.85)
+        assert barrier_rate(q, CCY_QUOTE) == pytest.approx(130.0 / 0.85)
+        assert barrier_rate(q, USD_QUOTE) == pytest.approx(130.0 * 0.85)
 
 
 def two_function_barrier(question: Question, direction) -> float:
@@ -111,14 +117,39 @@ class TestBarrierRate:
             threshold_kind="relative_depreciation" if relative else "absolute_level",
             threshold_value=fraction if relative else value,
         )
-        got, want = barrier_rate(q, direction), two_function_barrier(q, direction)
-        assert got.hex() == want.hex()
+        got = barrier_rate(q, PriceSeries("P", (), direction))
+        assert got.hex() == two_function_barrier(q, direction).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        direction=st.sampled_from(list(QuoteDirection)),
+        rates=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8),
+        index=st.integers(0, 7),
+        days_before=st.integers(0, 3),
+        fraction=st.floats(5e-324, 1.0, exclude_max=True),
+    )
+    def test_a_derived_baseline_is_the_first_rate_on_or_after_the_open(
+        self, direction, rates, index, days_before, fraction
+    ):
+        series = series_from(rates, quote_direction=direction)
+        open_date = series.dates[index % len(series)] - dt.timedelta(days=days_before)
+        derived = make_question(open_date=open_date, baseline_rate=None, threshold_value=fraction)
+        explicit = dataclasses.replace(
+            derived, baseline_rate=series.first_rate_on_or_after(open_date)
+        )
+        assert barrier_rate(derived, series).hex() == barrier_rate(explicit, series).hex()
+
+    def test_no_rate_on_or_after_the_open_is_insufficient_data(self):
+        series = series_from([1.0, 1.01, 0.99], start=D(2022, 5, 2))
+        with pytest.raises(
+            ValueError, match="^insufficient data: no observation on or after 2022-06-01$"
+        ):
+            barrier_rate(make_question(baseline_rate=None), series)
 
     def test_bad_direction_is_an_error_for_every_kind(self):
-        absolute = make_question(threshold_kind="absolute_level", threshold_value=0.9)
-        for q in (make_question(), absolute):
-            with pytest.raises(ValueError, match="'down' is not a valid QuoteDirection"):
-                barrier_rate(q, "down")
+        # a barrier reads its direction from the series, which checks it
+        with pytest.raises(ValueError, match="'down' is not a valid QuoteDirection"):
+            PriceSeries("P", (), "down")
 
 
 class TestOpenQuestion:
@@ -239,7 +270,7 @@ class TestResolve:
 def scan_resolve(series: PriceSeries, question: Question):
     """Reference resolution: scan every point of the series."""
     sign = series.quote_direction.sign
-    barrier = sign * barrier_rate(question, series.quote_direction)
+    barrier = sign * barrier_rate(question, series)
     seen = False
     for d, r in series.points:
         if question.open_date <= d <= question.close_date:

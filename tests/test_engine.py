@@ -136,7 +136,7 @@ class TestEstimateVolatility:
                 estimate_volatility(series, day)
         question = Question(
             "q-xtreme", "XTREME", series.dates[2], series.dates[-1] + dt.timedelta(days=30),
-            rates[0], "relative_depreciation", 0.9,
+            "relative_depreciation", 0.9, rates[0],
         )
         with pytest.raises(ValueError, match=f"^XTREME: .* {word} a float$"):
             rolling_forecast(series, question)
@@ -530,6 +530,16 @@ class TestRollingForecast:
         assert trimmed.dates[0] == series.dates[20]
         assert dict(full.points)[series.dates[20]] == dict(trimmed.points)[series.dates[20]]
 
+    def test_history_start_is_a_window_on_the_series(self):
+        series, question = make_fixture()
+        question = dataclasses.replace(question, baseline_rate=None)
+        full = rolling_forecast(series, question)
+        # on a trading day, and on a Sunday before one
+        for start in (series.dates[3], series.dates[5] - dt.timedelta(days=1)):
+            trimmed = rolling_forecast(series, dataclasses.replace(question, history_start=start))
+            assert trimmed == rolling_forecast(series.window(start=start), question)
+            assert trimmed.dates == full.dates and trimmed != full
+
     def test_pseudo_out_of_sample(self):
         series, question = make_fixture()
         base = dict(rolling_forecast(series, question).points)
@@ -619,7 +629,7 @@ class TestClosedFormForecast:
         series, question = fixture(n=80)
         resolve_date = resolve(series, question).resolve_date
         sign = series.quote_direction.sign
-        barrier = barrier_rate(question, series.quote_direction)
+        barrier = barrier_rate(question, series)
         expected = []
         for d, rate in series.points:
             if question.scoring_start <= d < resolve_date:
@@ -645,8 +655,8 @@ class TestClosedFormForecast:
         near, far = (
             rolling_forecast(
                 series,
-                Question("q", "EURUSD", dates[10], dates[-1], float(rates[10]),
-                         "relative_depreciation", threshold),
+                Question("q", "EURUSD", dates[10], dates[-1], "relative_depreciation",
+                         threshold, float(rates[10])),
                 step_mode,
             ).points
             for threshold in sorted(thresholds)
@@ -675,7 +685,7 @@ class TestClosedFormForecast:
 
         def forecast(direction, rates, level):
             series = PriceSeries("X", tuple(zip(dates, rates)), direction)
-            question = Question("q", "X", dates[10], dates[-1], rates[10], "absolute_level", level)
+            question = Question("q", "X", dates[10], dates[-1], "absolute_level", level, rates[10])
             return rolling_forecast(series, question, step_mode)
 
         down = forecast(QuoteDirection.USD_PER_CCY, rates, level)

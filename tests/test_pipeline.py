@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from fxbarrier import (
-    QuestionSpec,
+    Question,
     Source,
     ThresholdKind,
     brier,
     emit_report,
     load_config,
+    load_consensus_csv,
+    load_crowd_csv,
     parse_forecast_csv,
     run_pipeline,
 )
@@ -106,7 +108,7 @@ class TestConfig:
     def test_library_non_floating_must_be_a_bool(self, value):
         # "false" is truthy: accepted, it would drop the random walk silently
         with pytest.raises(ValueError, match=r"^q: non_floating must be a bool, got "):
-            QuestionSpec(
+            Question(
                 question_id="q",
                 pair_id="FLTUSD",
                 open_date=dt.date(2022, 1, 3),
@@ -169,22 +171,41 @@ class TestConfig:
             with pytest.raises(ValueError, match=message):
                 load_config(path)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"open_date": "2022-08-01"}, "open_date 2022-08-01 must precede close_date "),
+            ({"threshold_value": 1.5}, "relative threshold must lie in (0, 1)"),
+            ({"baseline_rate": 0.0}, "baseline_rate must be positive and finite"),
+            ({"scoring_start_date": "2021-01-04"}, "scoring_start_date must lie in "),
+            ({"history_start": "2022-03-01"}, "history_start 2022-03-01 is after open_date "),
+        ],
+        ids=["open_date", "threshold_value", "baseline_rate", "scoring_start_date", "history_start"],
+    )
+    def test_a_static_question_fault_is_a_config_error(self, tmp_path, fault, message):
+        path = build_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["questions"][1].update(fault)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: questions[1]: q-peg: {message}")
+
     def test_history_start_after_open_is_an_error(self):
         series = random_walk_series("FLTUSD", seed=11, n=90)
-        spec = QuestionSpec(
-            question_id="q",
-            pair_id="FLTUSD",
-            open_date=series.dates[15],
-            close_date=series.dates[-1],
-            threshold_kind=ThresholdKind.RELATIVE_DEPRECIATION,
-            threshold_value=0.05,
-            history_start=series.dates[40],
-        )
         # Trimming first would derive the baseline from the rate on
         # history_start, not from the first rate on or after open_date.
         assert series.rates[40] != series.rates[15]
         with pytest.raises(ValueError, match="q: history_start .* after open_date"):
-            spec.to_question(series)
+            Question(
+                question_id="q",
+                pair_id="FLTUSD",
+                open_date=series.dates[15],
+                close_date=series.dates[-1],
+                threshold_kind=ThresholdKind.RELATIVE_DEPRECIATION,
+                threshold_value=0.05,
+                history_start=series.dates[40],
+            )
 
 
 class TestRunPipeline:
@@ -314,7 +335,8 @@ class TestRunPipeline:
         pinned = run_pipeline(load_config(path))
         q = pinned.results["q-flt"].question
         assert q.baseline_rate == 0.5
-        assert derived.results["q-flt"].question.baseline_rate != 0.5
+        # the reported question is the configured one: its baseline stays unset
+        assert derived.results["q-flt"].question.baseline_rate is None
         flt_rw = pinned.results["q-flt"].forecasts[Source.RANDOM_WALK]
         assert max(flt_rw.values) < 0.01
 
@@ -399,7 +421,13 @@ class TestRunPipeline:
         path.write_text(json.dumps(raw))
         report2 = run_pipeline(load_config(path))
         crowd = report2.results["q-flt"].forecasts[Source.CROWD]
-        assert set(crowd.values) == {0.42}
+        assert crowd == load_consensus_csv(tmp_path / "consensus.csv")["q-flt"]
+        # the crowd records it replaces are named in a warning
+        records = [r for r in load_crowd_csv(tmp_path / "crowd.csv") if r.question_id == "q-flt"]
+        assert (
+            f"consensus file {tmp_path / 'consensus.csv'}: q-flt: used in place of "
+            f"{len(records)} crowd records"
+        ) in report2.warnings
         # q-peg has no external series and falls back to record aggregation
         assert Source.CROWD in report2.results["q-peg"].forecasts
 
@@ -528,9 +556,12 @@ class TestRunPipeline:
         flt_result = report.results["q-flt"]
         assert set(flt_result.forecasts) == set(flt_result.scores) == {Source.RANDOM_WALK}
         start, end = flt.dates[15], flt_result.resolution.resolve_date
+        records = [r for r in load_crowd_csv(tmp_path / "crowd.csv") if r.question_id == "q-flt"]
         assert report.warnings == [
+            f"consensus file {tmp_path / 'consensus.csv'}: q-flt: used in place of "
+            f"{len(records)} crowd records",
             f"consensus file {tmp_path / 'consensus.csv'}: q-flt: dropped 15 points "
-            f"outside [{start}, {end})"
+            f"outside [{start}, {end})",
         ]
         names = {p.name for p in emit_report(report, config.output_dir)}
         assert {n for n in names if "q-flt" in n} == {
