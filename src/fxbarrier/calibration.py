@@ -16,30 +16,37 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .domain import ForecastSeries
+from .domain import ForecastSeries, _checked_make
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    """One (question, date) pair of random-walk and crowd probabilities."""
+class PairedSample(
+    NamedTuple(
+        "PairedSample",
+        [("question_id", str), ("date", dt.date), ("x", float), ("crowd", float)],
+    )
+):
+    """One (question, date) pair of random-walk and crowd probabilities.
 
-    question_id: str
-    date: dt.date
-    x: float
-    crowd: float
+    Every way of building a sample checks it: the constructor, `_make`,
+    `_replace`, pickle and copy.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PairedSample:
+        sample = super().__new__(cls, *args, **kwargs)
         for name in ("x", "crowd"):
-            v = getattr(self, name)
+            v = getattr(sample, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} value {v} outside [0, 1]")
+        return sample
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     """Simple-regression estimates with classical errors and null-based t tests.
 
     t statistics are computed against the declared nulls: t_i = (beta_i -

@@ -11,12 +11,11 @@ import datetime as dt
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .domain import ForecastSeries, Question, Source
+from .domain import ForecastSeries, Question, Source, _checked_make
 from .io import _read_rows
 
 _LOGIT_EPS = 1e-6
@@ -66,30 +65,37 @@ class CrowdRecord(
             raise ValueError(f"{question_id}/{forecaster_id}: probability {p} outside [0, 1]")
         return tuple.__new__(cls, (question_id, forecaster_id, at, p))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> CrowdRecord:  # `_replace` calls it too
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class ConsensusParams:
-    """Aggregation settings.
-
-    recency_shape controls the weighted-median weights exp(shape * sqrt(rank));
-    zero recovers the plain median. extremize_a scales the pooled logit; values
-    above 1 push the combination away from one half.
-    """
-
+class _ConsensusFields(NamedTuple):
     method: ConsensusMethod = ConsensusMethod.WEIGHTED_MEDIAN
     extremize_a: float = 2.0
     recency_shape: float = 1.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "method", ConsensusMethod(self.method))
-        if not 0.0 < self.extremize_a < math.inf:
+
+class ConsensusParams(_ConsensusFields):
+    """Aggregation settings.
+
+    recency_shape controls the weighted-median weights exp(shape * sqrt(rank));
+    zero recovers the plain median. extremize_a scales the pooled logit; values
+    above 1 push the combination away from one half. `method` is stored as a
+    ConsensusMethod. Every way of building the settings checks them: the
+    constructor, `_make`, `_replace`, pickle and copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ConsensusParams:
+        params = super().__new__(cls, *args, **kwargs)
+        method = ConsensusMethod(params.method)
+        if not 0.0 < params.extremize_a < math.inf:
             raise ValueError("extremize_a must be positive and finite")
-        if not 0.0 <= self.recency_shape < math.inf:
+        if not 0.0 <= params.recency_shape < math.inf:
             raise ValueError("recency_shape must be nonnegative and finite")
+        return tuple.__new__(cls, (method, *params[1:]))
+
+    _make = classmethod(_checked_make)
 
 
 class SnapshotEntry(NamedTuple):

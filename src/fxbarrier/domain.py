@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
+from typing import Iterable, NamedTuple
 
 
 class QuoteDirection(str, Enum):
@@ -59,6 +60,11 @@ _RATE = (
 )
 
 
+def _checked_make(cls, iterable: Iterable):
+    """`_make` for a record whose `__new__` checks it (`_replace` calls it too)."""
+    return cls(*iterable)
+
+
 def _check_points(points, label: str, rule) -> tuple:
     _, valid, message = rule
     out = []
@@ -74,8 +80,47 @@ def _check_points(points, label: str, rule) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class _Series:
+    """Equality, hashing, repr, pickling and immutability over the three
+    fields a series names in `__match_args__` and holds in its `__slots__`.
+
+    Pickle and copy rebuild a series through its constructor, so its checks
+    run again. Setting or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, str, str]
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PriceSeries(_Series):
     """Dated daily exchange-rate levels for one currency pair.
 
     Dates are strictly increasing, every rate is positive and finite, and
@@ -85,17 +130,17 @@ class PriceSeries:
     only the points.
     """
 
-    pair_id: str
-    points: tuple[tuple[dt.date, float], ...]
-    quote_direction: QuoteDirection = QuoteDirection.USD_PER_CCY
+    __match_args__ = ("pair_id", "points", "quote_direction")
+    __slots__ = (*__match_args__, "__dict__")  # `__dict__` holds the cached properties
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "points", _check_points(self.points, self.pair_id, _RATE)
-        )
-        object.__setattr__(
-            self, "quote_direction", QuoteDirection(self.quote_direction)
-        )
+    def __init__(
+        self,
+        pair_id: str,
+        points: tuple[tuple[dt.date, float], ...],
+        quote_direction: QuoteDirection = QuoteDirection.USD_PER_CCY,
+    ) -> None:
+        points = _check_points(points, pair_id, _RATE)
+        self._set(pair_id, points, QuoteDirection(quote_direction))
 
     @classmethod
     def _trusted(
@@ -104,9 +149,7 @@ class PriceSeries:
         """A series from float points already known to be strictly increasing in
         date with every rate positive and finite, built without checking them again."""
         series = object.__new__(cls)
-        object.__setattr__(series, "pair_id", pair_id)
-        object.__setattr__(series, "points", points)
-        object.__setattr__(series, "quote_direction", QuoteDirection(quote_direction))
+        series._set(pair_id, points, QuoteDirection(quote_direction))
         return series
 
     def __len__(self) -> int:
@@ -158,19 +201,7 @@ class PriceSeries:
         return PriceSeries._trusted(self.pair_id, self.points[lo:hi], self.quote_direction)
 
 
-@dataclass(frozen=True)
-class Question:
-    """A barrier event: will the currency hit its depreciation threshold before close?
-
-    Without a `baseline_rate`, a relative barrier is measured from the first
-    observed rate on or after the open date (`barrier_rate`).
-    `scoring_start_date` marks the first day forecasts are produced and scored;
-    it defaults to `open_date` and exists so a harness can skip days before a
-    question was actually live. `history_start` drops earlier rates from
-    volatility estimation (`rolling_forecast`), and `non_floating` marks
-    pegged currencies the random walk cannot forecast.
-    """
-
+class _QuestionFields(NamedTuple):
     question_id: str
     pair_id: str
     open_date: dt.date
@@ -182,83 +213,116 @@ class Question:
     history_start: dt.date | None = None
     non_floating: bool = False
 
-    def __post_init__(self) -> None:
+
+class Question(_QuestionFields):
+    """A barrier event: will the currency hit its depreciation threshold before close?
+
+    Without a `baseline_rate`, a relative barrier is measured from the first
+    observed rate on or after the open date (`barrier_rate`).
+    `scoring_start_date` marks the first day forecasts are produced and scored;
+    it defaults to `open_date` and exists so a harness can skip days before a
+    question was actually live. `history_start` drops earlier rates from
+    volatility estimation (`rolling_forecast`), and `non_floating` marks
+    pegged currencies the random walk cannot forecast. `threshold_kind` is
+    stored as a ThresholdKind, and `threshold_value` and `baseline_rate` as
+    floats. Every way of building a question checks it: the constructor,
+    `_make`, `_replace`, pickle and copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Question:
+        q = super().__new__(cls, *args, **kwargs)
         # a truthy string such as "false" would silently drop the random walk
-        if not isinstance(self.non_floating, bool):
+        if not isinstance(q.non_floating, bool):
             raise ValueError(
-                f"{self.question_id}: non_floating must be a bool, got {self.non_floating!r}"
+                f"{q.question_id}: non_floating must be a bool, got {q.non_floating!r}"
             )
-        object.__setattr__(self, "threshold_kind", ThresholdKind(self.threshold_kind))
-        object.__setattr__(self, "threshold_value", float(self.threshold_value))
-        if self.open_date >= self.close_date:
+        kind = ThresholdKind(q.threshold_kind)
+        value = float(q.threshold_value)
+        if q.open_date >= q.close_date:
             raise ValueError(
-                f"{self.question_id}: open_date {self.open_date} must precede "
-                f"close_date {self.close_date}"
+                f"{q.question_id}: open_date {q.open_date} must precede "
+                f"close_date {q.close_date}"
             )
-        if self.baseline_rate is not None:
-            object.__setattr__(self, "baseline_rate", float(self.baseline_rate))
-            if not 0.0 < self.baseline_rate < math.inf:
-                raise ValueError(
-                    f"{self.question_id}: baseline_rate must be positive and finite"
-                )
-        if self.threshold_kind is ThresholdKind.RELATIVE_DEPRECIATION:
-            if not 0.0 < self.threshold_value < 1.0:
-                raise ValueError(
-                    f"{self.question_id}: relative threshold must lie in (0, 1)"
-                )
-        elif not 0.0 < self.threshold_value < math.inf:
+        baseline = q.baseline_rate
+        if baseline is not None:
+            baseline = float(baseline)
+            if not 0.0 < baseline < math.inf:
+                raise ValueError(f"{q.question_id}: baseline_rate must be positive and finite")
+        if kind is ThresholdKind.RELATIVE_DEPRECIATION:
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{q.question_id}: relative threshold must lie in (0, 1)")
+        elif not 0.0 < value < math.inf:
             raise ValueError(
-                f"{self.question_id}: absolute threshold must be positive and finite"
+                f"{q.question_id}: absolute threshold must be positive and finite"
             )
-        if self.scoring_start_date is not None and not (
-            self.open_date <= self.scoring_start_date < self.close_date
+        if q.scoring_start_date is not None and not (
+            q.open_date <= q.scoring_start_date < q.close_date
         ):
             raise ValueError(
-                f"{self.question_id}: scoring_start_date must lie in "
+                f"{q.question_id}: scoring_start_date must lie in "
                 "[open_date, close_date)"
             )
-        if self.history_start is not None and self.history_start > self.open_date:
+        if q.history_start is not None and q.history_start > q.open_date:
             raise ValueError(
-                f"{self.question_id}: history_start {self.history_start} is "
-                f"after open_date {self.open_date}"
+                f"{q.question_id}: history_start {q.history_start} is "
+                f"after open_date {q.open_date}"
             )
+        # threshold_kind, threshold_value and baseline_rate are fields 4 to 6
+        return tuple.__new__(cls, (*q[:4], kind, value, baseline, *q[7:]))
+
+    _make = classmethod(_checked_make)
 
     @property
     def scoring_start(self) -> dt.date:
         return self.scoring_start_date or self.open_date
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Outcome of a question: k=1 on the crossing day, k=0 at close, None while open."""
+class Resolution(
+    NamedTuple(
+        "Resolution",
+        [("question_id", str), ("outcome", int | None), ("resolve_date", dt.date)],
+    )
+):
+    """Outcome of a question: k=1 on the crossing day, k=0 at close, None while open.
 
-    question_id: str
-    outcome: int | None
-    resolve_date: dt.date
+    An integer outcome, a numpy one included, is stored as an int; a bool or
+    a non-integer is a ValueError. Every way of building a resolution checks
+    it: the constructor, `_make`, `_replace`, pickle and copy.
+    """
 
-    def __post_init__(self) -> None:
-        if self.outcome not in (0, 1, None):
-            raise ValueError(f"{self.question_id}: outcome must be 0, 1 or None")
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Resolution:
+        r = super().__new__(cls, *args, **kwargs)
+        outcome = r.outcome
+        # a bool or a float is no outcome; a numpy integer is stored as an int
+        if outcome is not None and not isinstance(outcome, bool) and hasattr(outcome, "__index__"):
+            outcome = operator.index(outcome)
+        if not (outcome is None or type(outcome) is int and outcome in (0, 1)):
+            raise ValueError(f"{r.question_id}: outcome must be 0, 1 or None")
+        return tuple.__new__(cls, (r.question_id, outcome, r.resolve_date))
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class ForecastSeries:
+class ForecastSeries(_Series):
     """Dated values in [0, 1] from one source for one question.
 
     Holds forecast probabilities and, as `ScoreSeries`, their Brier scores.
     Producers must not emit points dated after the question's resolve date.
     """
 
-    question_id: str
-    source: Source
-    points: tuple[tuple[dt.date, float], ...]
+    __match_args__ = ("question_id", "source", "points")
+    __slots__ = __match_args__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", Source(self.source))
-        label = f"series {self.question_id}/{self.source.value}"
-        object.__setattr__(
-            self, "points", _check_points(self.points, label, _PROBABILITY)
-        )
+    def __init__(
+        self, question_id: str, source: Source, points: tuple[tuple[dt.date, float], ...]
+    ) -> None:
+        source = Source(source)
+        label = f"series {question_id}/{source.value}"
+        self._set(question_id, source, _check_points(points, label, _PROBABILITY))
 
     def __len__(self) -> int:
         return len(self.points)

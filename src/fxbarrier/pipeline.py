@@ -14,7 +14,6 @@ import re
 import reprlib
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .calibration import RegressionResult, align_series, ols_fit
@@ -27,6 +26,7 @@ from .domain import (
     Resolution,
     ScoreSeries,
     Source,
+    _checked_make,
     forecast_days,
     resolve_closed,
 )
@@ -41,17 +41,13 @@ _REPORT_FILE = re.compile(  # every name emit_report writes but resolutions.csv
 )
 
 
-@dataclass(frozen=True)
-class PriceFileSpec:
+class PriceFileSpec(typing.NamedTuple):
     pair_id: str
     path: Path
     quote_direction: QuoteDirection = QuoteDirection.USD_PER_CCY
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A whole run: its inputs, how forecast steps are counted, and where to write."""
-
+class _RunConfigFields(typing.NamedTuple):
     price_files: tuple[PriceFileSpec, ...]
     questions: tuple[Question, ...]
     step_mode: StepMode = StepMode.TRADING_DAYS
@@ -60,17 +56,28 @@ class RunConfig:
     external_consensus_file: Path | None = None
     output_dir: Path = Path("out")
 
-    def __post_init__(self) -> None:
-        pairs = [p.pair_id for p in self.price_files]
+
+class RunConfig(_RunConfigFields):
+    """A whole run: its inputs, how forecast steps are counted, and where to write.
+
+    Every way of building a config checks it: the constructor, `_make`,
+    `_replace`, pickle and copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        config = super().__new__(cls, *args, **kwargs)
+        pairs = [p.pair_id for p in config.price_files]
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate pair_id in price_files")
-        qids = [q.question_id for q in self.questions]
+        qids = [q.question_id for q in config.questions]
         if len(set(qids)) != len(qids):
             raise ValueError("duplicate question_id in questions")
-        if not self.questions:
+        if not config.questions:
             raise ValueError("config defines no questions")
         known = set(pairs)
-        for q in self.questions:
+        for q in config.questions:
             if not _QID_RE.fullmatch(q.question_id):
                 raise ValueError(
                     f"question_id {q.question_id!r} must match {_QID_RE.pattern}"
@@ -80,6 +87,9 @@ class RunConfig:
                     f"question {q.question_id!r}: no price file for pair "
                     f"{q.pair_id!r}"
                 )
+        return config
+
+    _make = classmethod(_checked_make)
 
 
 # Inputs that once set the Monte Carlo forecast and the question threads.
@@ -96,7 +106,7 @@ _JSON = {
     float: ((int, float), "a number"),
     tuple: (list, "a list"),
 }
-# Each config dataclass's field types, its string annotations evaluated once
+# Each config record's field types, its string annotations evaluated once
 _type_hints = functools.cache(typing.get_type_hints)
 
 
@@ -104,7 +114,7 @@ def _read(hint, value, where: str, key: str, base: Path):
     """The JSON `value` of field `key` of the entry at `where`, as a `hint`."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         hint = typing.get_args(hint)[0]  # `X | None`; a null never gets here
-    if is_dataclass(hint):
+    if hasattr(hint, "_fields"):  # a config record
         return _build(hint, value, f"{where}: {key}", base)
     origin = typing.get_origin(hint) or hint
     kinds, name = _JSON.get(origin, ((str, Path), "a string"))
@@ -125,7 +135,7 @@ def _read(hint, value, where: str, key: str, base: Path):
 
 
 def _build(cls, entry, where: str, base: Path):
-    """The dataclass `cls` read from the JSON object `entry` at `where`.
+    """The config record `cls` read from the JSON object `entry` at `where`.
 
     Keys are field names. An absent or null key takes the field's default;
     paths resolve against `base`.
@@ -133,15 +143,15 @@ def _build(cls, entry, where: str, base: Path):
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: expected an object, got {reprlib.repr(entry)}")
     hints = _type_hints(cls)
-    unknown = sorted(set(entry) - {f.name for f in fields(cls)})
+    unknown = sorted(set(entry) - set(cls._fields))
     if unknown:
         raise ValueError(f"{where}: unknown fields {unknown}")
     given = {}
-    for f in fields(cls):
-        if entry.get(f.name) is not None:
-            given[f.name] = _read(hints[f.name], entry[f.name], where, f.name, base)
-        elif f.default is MISSING:
-            raise ValueError(f"{where}: missing required field {f.name!r}")
+    for name in cls._fields:
+        if entry.get(name) is not None:
+            given[name] = _read(hints[name], entry[name], where, name, base)
+        elif name not in cls._field_defaults:
+            raise ValueError(f"{where}: missing required field {name!r}")
     try:
         return cls(**given)
     except ValueError as exc:
@@ -187,7 +197,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
         raise ValueError(f"{path}: expected an object, got {reprlib.repr(raw)}")
     raw.update((k, v) for k, v in overrides.items() if v is not None)
     if raw.get("output_dir") is None:  # beside the config, not the working directory
-        raw["output_dir"] = RunConfig.output_dir
+        raw["output_dir"] = RunConfig._field_defaults["output_dir"]
     where, base = str(path), path.parent
     retired = {k: raw.pop(k) for k in _RETIRED if k in raw}
     retired = {k: _read(int, v, where, k, base) for k, v in retired.items() if v is not None}
@@ -198,8 +208,7 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
     return _build(RunConfig, raw, where, base)
 
 
-@dataclass
-class QuestionResult:
+class QuestionResult(typing.NamedTuple):
     """One question's outcome, and its forecasts and scores by source.
 
     `forecasts` holds only non-empty series, and `scores` has the same keys.
@@ -211,8 +220,7 @@ class QuestionResult:
     scores: dict[Source, ScoreSeries]
 
 
-@dataclass
-class RunReport:
+class RunReport(typing.NamedTuple):
     """Everything one run produced, keyed by question id in sorted order."""
 
     results: dict[str, QuestionResult]

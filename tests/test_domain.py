@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 from fractions import Fraction
 
@@ -134,9 +133,7 @@ class TestBarrierRate:
         series = series_from(rates, quote_direction=direction)
         open_date = series.dates[index % len(series)] - dt.timedelta(days=days_before)
         derived = make_question(open_date=open_date, baseline_rate=None, threshold_value=fraction)
-        explicit = dataclasses.replace(
-            derived, baseline_rate=series.first_rate_on_or_after(open_date)
-        )
+        explicit = derived._replace(baseline_rate=series.first_rate_on_or_after(open_date))
         assert barrier_rate(derived, series).hex() == barrier_rate(explicit, series).hex()
 
     def test_no_rate_on_or_after_the_open_is_insufficient_data(self):
@@ -197,6 +194,16 @@ class TestOpenQuestion:
         assert Resolution("q", None, D(2022, 6, 30)).outcome is None
         with pytest.raises(ValueError, match="outcome must be 0, 1 or None"):
             Resolution("q", 2, D(2022, 6, 30))
+
+    @pytest.mark.parametrize("outcome", [True, False, 1.0, 0.0, 0.5, "1", np.True_])
+    def test_an_outcome_that_is_not_an_integer_is_an_error(self, outcome):
+        with pytest.raises(ValueError, match=r"^q: outcome must be 0, 1 or None$"):
+            Resolution("q", outcome, D(2022, 6, 30))
+
+    @pytest.mark.parametrize("outcome", [0, 1, np.int64(0), np.int64(1), np.uint8(1)])
+    def test_an_integer_outcome_is_stored_as_an_int(self, outcome):
+        stored = Resolution("q", outcome, D(2022, 6, 30)).outcome
+        assert type(stored) is int and stored == outcome
 
 
 class TestResolve:
