@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
+import shutil
 import sys
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from .domain import Question, QuoteDirection, Source, ThresholdKind, forecast_da
 from .engine import StepMode, rolling_forecast
 from .io import ingest_price_csv, parse_forecast_csv
 from .pipeline import (
+    _gc_paused,
     check_retired,
     emit_report,
     format_regression,
@@ -140,8 +143,13 @@ def _cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # HelpFormatter asks for the terminal size whenever its width is None,
+    # which argparse does dozens of times while building; ask once instead
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="fxbarrier",
+        formatter_class=formatter,
         description=(
             "Forecast barrier-crossing probabilities for exchange rates with the "
             "closed-form first passage of a rolling-volatility random walk, score "
@@ -149,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("forecast", help="print a rolling forecast for one question")
+    p = add_parser("forecast", help="print a rolling forecast for one question")
     _add_question_args(p)
     p.add_argument("--seed", type=int, default=None, help="retired: checked, then ignored")
     p.add_argument("--paths", type=int, default=None, help="retired: checked, then ignored")
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_forecast)
 
-    p = sub.add_parser("run", help="run the full pipeline from a config file")
+    p = add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="retired: checked, then ignored")
     p.add_argument("--paths", type=int, default=None, help="retired: checked, then ignored")
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, help="retired: checked, then ignored")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("score", help="score an external forecast CSV against prices")
+    p = add_parser("score", help="score an external forecast CSV against prices")
     _add_question_args(p)
     p.add_argument("--forecast", required=True, help="forecast CSV (date,p)")
     p.add_argument(
@@ -178,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("calibrate", help="regress one forecast CSV on another")
+    p = add_parser("calibrate", help="regress one forecast CSV on another")
     p.add_argument("--x-file", required=True, help="response series CSV (date,p)")
     p.add_argument("--crowd-file", required=True, help="regressor series CSV (date,p)")
     p.add_argument("--null0", type=float, default=0.0)
@@ -188,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_gc_paused
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -75,7 +75,7 @@ def _check_points(points, label: str, rule) -> tuple:
             raise ValueError(f"{label}: dates must be strictly increasing (at {date})")
         if not valid(value):
             raise ValueError(f"{label}: " + message.format(value=value, date=date))
-        out.append((date, value))
+        out.append((date, value + 0.0))  # -0.0 + 0.0 is 0.0: no "-0.000000" is written
         prev = date
     return tuple(out)
 

@@ -6,11 +6,22 @@ import codecs
 import contextlib
 import csv
 import datetime as dt
+import itertools
 import operator
 from pathlib import Path
 from typing import Sequence
 
 from .domain import _PROBABILITY, _RATE, ForecastSeries, PriceSeries, QuoteDirection, Source
+
+
+def _csv_reader(fh):
+    """A csv reader over an open text file, past one leading byte-order mark.
+
+    The mark is taken off the first line, not by the `utf-8-sig` codec, and
+    the file is never sought, so it may be a pipe.
+    """
+    first = fh.readline().removeprefix("\ufeff")
+    return csv.reader(itertools.chain([first] if first else [], fh))
 
 
 def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], list[tuple]]:
@@ -24,11 +35,11 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
     they win over a bad field on an earlier line. A row's line is its first
     physical line, counted as the csv module counts them from the header's 1,
     blank rows included; only a file whose rows do not all take one line each
-    is read a second time to number them.
+    is read a second time to number them, so such a file cannot be a pipe.
     """
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with path.open(newline="", encoding="utf-8") as fh:
         try:
+            reader = _csv_reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != expected_header:
                 raise ValueError(
@@ -44,13 +55,18 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
                     line.decode("utf-8")
                 except UnicodeDecodeError as bad:
                     raise ValueError(f"{path}:{lineno}: {bad}") from exc
-            raise
+            raise ValueError(f"{path}: {exc}") from exc  # a pipe cannot be read again
     width = len(expected_header)
     lines: Sequence[int] = range(2, len(rows) + 2)
     if reader.line_num != len(rows) + 1:  # a quoted field holds a line break
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = _csv_reader(fh)
             ends = [reader.line_num for _ in reader]  # last lines of the header and each row
+        if len(ends) != len(rows) + 1:  # a pipe reads empty the second time
+            raise ValueError(
+                f"{path}: a quoted field holds a line break, and a second read to number "
+                f"the rows found {max(len(ends) - 1, 0)} of its {len(rows)} rows"
+            )
         lines = [end + 1 for end in ends[:-1]]
     if set(map(len, rows)) - {width}:  # a wrong field count, or a blank row
         for lineno, row in zip(lines, rows):

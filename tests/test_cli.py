@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import datetime as dt
+import hashlib
 import json
 import shutil
 import subprocess
@@ -17,13 +19,15 @@ from fxbarrier import (
     resolve,
     rolling_forecast,
 )
+from fxbarrier.cli import build_parser
 
 from conftest import build_config, random_walk_series, write_price_csv
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, stdin: str | None = None):
     return subprocess.run(
         [sys.executable, "-m", "fxbarrier", *args],
+        input=stdin,
         capture_output=True,
         text=True,
     )
@@ -63,6 +67,19 @@ def test_bad_date_flag_names_the_flag(price_csv, tmp_path, command):
         )
 
 
+@pytest.mark.parametrize("columns", ["50", "120"])
+def test_help_is_argparse_default_at_the_terminal_width(monkeypatch, columns):
+    # build_parser asks for the terminal width once and hands it to every
+    # formatter; argparse's own formatter asks each time, and must agree
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in [parser, *commands.choices.values()]:
+        got = p.format_help(), p.format_usage()
+        p.formatter_class = argparse.HelpFormatter
+        assert (p.format_help(), p.format_usage()) == got
+
+
 class TestForecast:
     def test_prints_series_matching_library(self, price_csv):
         proc = run_cli("forecast", *question_args(price_csv), "--seed", "5", "--paths", "800")
@@ -95,6 +112,51 @@ class TestForecast:
             f"error: {path}:4: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte\n"
         )
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_price_file_may_be_a_pipe(self):
+        prices = Path(__file__).parent / "data" / "golden_run" / "prices" / "flt.csv"
+        args = [
+            "--pair-id", "FLTUSD", "--open", "2022-01-31", "--close", "2022-07-01",
+            "--threshold-kind", "relative_depreciation", "--threshold-value", "0.06",
+        ]
+        from_file = run_cli("forecast", "--prices", str(prices), *args)
+        piped = run_cli(
+            "forecast", "--prices", "/dev/stdin", *args, stdin=prices.read_text(encoding="utf-8")
+        )
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == from_file.stdout
+        digest = hashlib.md5(piped.stdout.encode()).hexdigest()
+        assert digest == "007da07f789cdf905747601642c9e80b"
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_a_piped_file_whose_rows_span_lines_is_an_error(self):
+        # numbering such rows reads the file again, which a pipe cannot give;
+        # the bad rate on line 4 must not be dropped without a word
+        proc = run_cli(
+            "forecast", "--prices", "/dev/stdin", "--open", "2022-01-03",
+            "--close", "2022-02-01", "--threshold-value", "0.05",
+            stdin='date,rate\n"2022-01-03\n",1.0\n2022-01-04,abc\n',
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: /dev/stdin: a quoted field holds a line break, and a second read "
+            "to number the rows found 0 of its 2 rows\n"
+        )
+
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_an_undecodable_piped_file_is_named(self):
+        # its line cannot be found in bytes the pipe has already given
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fxbarrier", "forecast", "--prices", "/dev/stdin",
+                "--open", "2022-01-03", "--close", "2022-02-01", "--threshold-value", "0.05",
+            ],
+            input=b"date,rate\n2022-01-03,1.0\n2022-01-04,1\xff.0\n",
+            capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: /dev/stdin: 'utf-8' codec can't decode byte 0xff")
 
     def test_deterministic_output(self, price_csv):
         args = ("forecast", *question_args(price_csv), "--seed", "5", "--paths", "500")

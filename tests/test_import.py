@@ -22,7 +22,7 @@ GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_run" / "config.json"
 # would be about a third of the import's cost. The program needs none of
 # them, to import or to run.
 PROBE = """
-import json, os, sys
+import gc, json, os, sys
 environ = dict(os.environ)
 import fxbarrier, fxbarrier.cli
 task = "/proc/self/task"
@@ -41,6 +41,8 @@ got = {
 config, out = sys.argv[1:]
 got["run_status"] = fxbarrier.cli.main(["run", "--config", config, "--out", out])
 got["after_run"] = loaded()
+got["gc_enabled_after_run"] = gc.isenabled()
+got["utf_8_sig_after_run"] = sys.modules.get("encodings.utf_8_sig") is not None
 print(json.dumps(got))
 """
 
@@ -77,6 +79,15 @@ def test_neither_the_import_nor_a_run_loads_dataclasses_or_inspect():
     assert got["run_status"] == 0
     assert got["after_import"] == {"dataclasses": False, "inspect": False}
     assert got["after_run"] == {"dataclasses": False, "inspect": False}
+
+
+def test_a_run_turns_the_gc_back_on_and_loads_no_bom_codec():
+    # the run pauses the cyclic collector, and takes a byte-order mark off
+    # without the utf-8-sig codec, whose import was about 0.4 ms of a forecast
+    got = probe()
+    assert got["run_status"] == 0
+    assert got["gc_enabled_after_run"] is True
+    assert got["utf_8_sig_after_run"] is False
 
 
 def test_all_names_every_public_attribute():

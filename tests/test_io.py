@@ -95,6 +95,21 @@ class TestIngestPriceCsv:
         with pytest.raises(OSError):
             ingest_price_csv(tmp_path / "absent.csv")
 
+    def test_byte_order_mark_before_a_quoted_header(self, tmp_path):
+        path = tmp_path / "eur.csv"
+        path.write_text('\ufeff"date","rate"\r\n2022-01-03,1.05\r\n', encoding="utf-8")
+        assert ingest_price_csv(path).points == ((D(2022, 1, 3), 1.05),)
+
+    def test_byte_order_mark_and_a_quoted_line_break_keep_line_numbers(self, tmp_path):
+        # a quoted line break makes the reader number the rows on a second
+        # read of the file, which takes the mark off the quoted header too
+        path = tmp_path / "eur.csv"
+        path.write_text(
+            '\ufeff"date\n",rate\n2022-01-03,1.05\n2022-01-04,abc\n', encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=r"eur.csv:4: bad rate 'abc'$"):
+            ingest_price_csv(path)
+
 
 class TestParseForecastCsv:
     def test_round_trip(self, tmp_path):
@@ -117,6 +132,13 @@ class TestParseForecastCsv:
         )
         with pytest.raises(ValueError, match="f.csv:4: duplicate date 2022-06-02"):
             parse_forecast_csv(path, "q")
+
+    def test_negative_zero_is_stored_as_zero(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("date,p\n2022-06-01,-0.0\n2022-06-02,-0\n", encoding="utf-8")
+        values = parse_forecast_csv(path, "q").values
+        assert values == (0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in values] == [1.0, 1.0]
 
 
 class TestLoadConsensusCsv:

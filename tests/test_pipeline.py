@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import shutil
 import threading
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from fxbarrier import (
 from fxbarrier import pipeline
 
 from conftest import build_config, random_walk_series
+
+GOLDEN = Path(__file__).parent / "data" / "golden_run"
 
 
 def run_to_dir(config_path: Path, out: Path, **overrides) -> dict[str, bytes]:
@@ -569,3 +572,42 @@ class TestRunPipeline:
             "scores_q-flt_random_walk.csv",
         }
         assert "forecast_q-peg_crowd.csv" in names
+
+
+class TestNegativeZero:
+    """A probability read as -0.0 is stored as 0.0, and never written as
+    "-0.000000"."""
+
+    @pytest.fixture
+    def golden(self, tmp_path) -> Path:
+        """A copy of the golden inputs; returns its config path."""
+        shutil.copytree(GOLDEN, tmp_path / "in", ignore=shutil.ignore_patterns("expected"))
+        return tmp_path / "in" / "config.json"
+
+    @staticmethod
+    def crowd_rows(files: dict[str, bytes]) -> list[str]:
+        return files["forecast_gold-flt_crowd.csv"].decode().splitlines()[1:]
+
+    def test_crowd_records(self, golden, tmp_path):
+        crowd = golden.parent / "crowd.csv"
+        lines = crowd.read_text(encoding="utf-8").splitlines()
+        lines[1:] = [
+            line.rpartition(",")[0] + ",-0.0" if line.startswith("gold-flt,") else line
+            for line in lines[1:]
+        ]
+        crowd.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files = run_to_dir(golden, tmp_path / "out")
+        assert not any(b"-0.000000" in text for text in files.values())
+        rows = self.crowd_rows(files)
+        assert rows and all(row.endswith(",0.000000") for row in rows)
+
+    def test_external_consensus(self, golden, tmp_path):
+        (golden.parent / "consensus.csv").write_text(
+            "question_id,date,probability\ngold-flt,2022-02-01,-0\n", encoding="utf-8"
+        )
+        raw = json.loads(golden.read_text(encoding="utf-8"))
+        raw["external_consensus_file"] = "consensus.csv"
+        golden.write_text(json.dumps(raw), encoding="utf-8")
+        files = run_to_dir(golden, tmp_path / "out")
+        assert not any(b"-0.000000" in text for text in files.values())
+        assert self.crowd_rows(files) == ["2022-02-01,0.000000"]
