@@ -7,18 +7,22 @@ extremized mean-logit pool.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import functools
 import math
 import operator
+from bisect import bisect_right
 from enum import Enum
+from itertools import repeat, tee
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .domain import ForecastSeries, Question, Source, _checked_make
+from .domain import _PROBABILITY, ForecastSeries, Question, Source, _checked_make, _obeys
 from .io import _read_rows
 
 _LOGIT_EPS = 1e-6
+_SEPARATORS = {"", "T", "t", " "}  # what may follow a date such as "2022-01-05" in a time
 _CROWD_HEADER = ["question_id", "forecaster_id", "timestamp_rfc3339", "probability"]
 
 
@@ -111,21 +115,22 @@ def _snapshots(
     as `{forecaster_id: p}` in rank order, oldest first.
 
     One stable sort of the records by (time, forecaster id), then one cursor
-    across them: each record pops its forecaster and inserts it again, so the
-    dict's order is the rank order and no cutoff re-sorts anything. Because
-    the sort is stable, a forecaster's same-instant duplicates are visited in
-    input order and the later one wins. The same dict is yielded each time,
-    updated in place.
+    that bisects to each cutoff: each record pops its forecaster and inserts
+    it again, so the dict's order is the rank order and no cutoff re-sorts
+    anything. Because the sort is stable, a forecaster's same-instant
+    duplicates are visited in input order and the later one wins. The same
+    dict is yielded each time, updated in place.
     """
-    ordered = sorted(records, key=lambda r: (r.at, r.forecaster_id))
+    ordered = sorted(records, key=operator.itemgetter(2, 1))
+    times = list(map(operator.itemgetter(2), ordered))
     latest: dict[str, float] = {}
     i = 0
     for cutoff in cutoffs:
-        while i < len(ordered) and ordered[i].at <= cutoff:
-            rec = ordered[i]
-            latest.pop(rec.forecaster_id, None)
-            latest[rec.forecaster_id] = rec.p
-            i += 1
+        end = bisect_right(times, cutoff, i)
+        for _, fid, _, p in ordered[i:end]:
+            latest.pop(fid, None)
+            latest[fid] = p
+        i = end
         yield latest
 
 
@@ -145,29 +150,31 @@ def latest_per_forecaster(
     return [SnapshotEntry(fid, p, rank) for rank, (fid, p) in enumerate(latest.items(), start=1)]
 
 
-def _weighted_median(ps: Iterable[float], weights: Sequence[float]) -> float:
-    """The smallest p whose cumulative weight, over (p, weight) pairs sorted
-    ascending, reaches half the total weight; `weights[i]` belongs to the i-th p."""
-    weighted = sorted(zip(ps, weights))
-    half = math.fsum(weights) / 2.0
+def _weighted_median(ps: Sequence[float], weights: Sequence[float], half: float) -> float:
+    """The smallest p whose cumulative weight, over the ps sorted ascending,
+    reaches `half`, or else the largest p. `weights[i]` belongs to `ps[i]` and
+    never decreases with i, so a stable sort of the indices by p adds the
+    weights in the order of `sorted(zip(ps, weights))`, to the same floats."""
     acc = 0.0
-    for p, w in weighted:
-        acc += w
+    for i in sorted(range(len(ps)), key=ps.__getitem__):
+        acc += weights[i]
         if acc >= half:
-            return p
-    return weighted[-1][0]
+            break
+    return ps[i]
 
 
-def _recency_weights(shape: float, ranks: Sequence[int]) -> list[float]:
-    """exp(shape * (sqrt(rank) - sqrt(newest))) for each rank, newest the largest."""
+def _recency_weights(shape: float, ranks: Sequence[int]) -> tuple[tuple[float, ...], float]:
+    """exp(shape * (sqrt(rank) - sqrt(newest))) for each rank, newest the
+    largest, and half their sum."""
     newest = math.sqrt(max(ranks))
-    return [math.exp(shape * (math.sqrt(rank) - newest)) for rank in ranks]
+    weights = tuple([math.exp(shape * (math.sqrt(rank) - newest)) for rank in ranks])
+    return weights, math.fsum(weights) / 2.0
 
 
 @functools.lru_cache(maxsize=256)
-def _rank_weights(shape: float, newest: int) -> tuple[float, ...]:
+def _rank_weights(shape: float, newest: int) -> tuple[tuple[float, ...], float]:
     """`_recency_weights` for ranks 1..newest."""
-    return tuple(_recency_weights(shape, range(1, newest + 1)))
+    return _recency_weights(shape, range(1, newest + 1))
 
 
 def community_prediction(
@@ -182,13 +189,11 @@ def community_prediction(
     tie-break is deterministic and independent of input order. Ranks need
     not be 1..N.
     """
-    entries = list(snapshot)
+    entries = sorted(snapshot, key=operator.attrgetter("age_rank"))
     if not entries:
         raise ValueError("no forecasts in snapshot")
-    return _weighted_median(
-        [e.p for e in entries],
-        _recency_weights(params.recency_shape, [e.age_rank for e in entries]),
-    )
+    weights, half = _recency_weights(params.recency_shape, [e.age_rank for e in entries])
+    return _weighted_median([e.p for e in entries], weights, half)
 
 
 def combine_logit(ps: Iterable[float], a: float) -> float:
@@ -241,7 +246,8 @@ def crowd_series(
         if not latest:
             continue
         if params.method is ConsensusMethod.WEIGHTED_MEDIAN:
-            p = _weighted_median(latest.values(), _rank_weights(params.recency_shape, len(latest)))
+            weights, half = _rank_weights(params.recency_shape, len(latest))
+            p = _weighted_median(list(latest.values()), weights, half)
         else:
             p = combine_logit(latest.values(), params.extremize_a)
         points.append((d, p))
@@ -250,6 +256,8 @@ def crowd_series(
 
 def _parse_rfc3339(text: str) -> dt.datetime:
     cleaned = text.strip()
+    if cleaned[4:5] == "-" and cleaned[10:11] not in _SEPARATORS:
+        raise ValueError(f"bad time {text!r}: no 'T', 't' or ' ' between its date and time")
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     return dt.datetime.fromisoformat(cleaned)
@@ -259,25 +267,43 @@ def load_crowd_csv(path: str | Path) -> list[CrowdRecord]:
     """Read crowd records from CSV and sort them by timestamp.
 
     Expected header: question_id,forecaster_id,timestamp_rfc3339,probability.
-    Rows may arrive in any order. Each column is converted once, as the
-    records are built and checked in file order, so the first malformed row
-    fails with its line number and the message of its time's parser, of
-    `float` or of `CrowdRecord`.
+    Rows may arrive in any order. Each column is converted in one pass (times
+    by `datetime.fromisoformat` up to the first it rejects, such as any `Z` on
+    Python 3.10, then by `_parse_rfc3339`) and checked as a whole, and the
+    records are built from the columns, each distinct id one string. If a
+    column fails, the records are built and checked in file order instead, so
+    the first malformed row fails with its line number and the message of its
+    time's parser, of `float` or of `CrowdRecord`.
     """
     path = Path(path)
-    lines, (question_ids, forecaster_ids, times, probabilities) = _read_rows(path, _CROWD_HEADER)
-    records: list[CrowdRecord] = []
-    try:
-        records.extend(
-            map(
-                CrowdRecord,
-                map(str.strip, question_ids),
-                map(str.strip, forecaster_ids),
-                map(_parse_rfc3339, times),
-                map(float, probabilities),
-            )
-        )
-    except ValueError as exc:  # `records` stops just before the bad row
-        raise ValueError(f"{path}:{lines[len(records)]}: {exc}") from exc
-    records.sort(key=operator.attrgetter("at"))
+    lines, (question_ids, forecaster_ids, texts, probabilities) = _read_rows(path, _CROWD_HEADER)
+    ids: dict[str, str] = {}
+    question_ids = list(map(ids.setdefault, *tee(map(str.strip, question_ids))))
+    forecaster_ids = list(map(ids.setdefault, *tee(map(str.strip, forecaster_ids))))
+    texts = list(map(str.strip, texts))
+    times, ps = [], []
+    with contextlib.suppress(ValueError):
+        times.extend(map(dt.datetime.fromisoformat, texts))
+    with contextlib.suppress(ValueError):
+        times.extend(map(_parse_rfc3339, texts[len(times) :]))
+    with contextlib.suppress(ValueError):
+        ps.extend(map(float, probabilities))
+    utc = map(operator.is_, map(operator.attrgetter("tzinfo"), times), repeat(dt.timezone.utc))
+    if (
+        len(times) == len(ps) == len(lines)
+        and set(map(operator.getitem, texts, repeat(slice(10, 11)))) <= _SEPARATORS
+        and all(utc)
+        and _obeys(ps, _PROBABILITY[1])
+    ):
+        del texts, probabilities
+        rows = zip(question_ids, forecaster_ids, times, ps)
+        records = list(map(tuple.__new__, repeat(CrowdRecord), rows))
+    else:
+        records = []
+        times, ps = map(_parse_rfc3339, texts), map(float, probabilities)
+        try:
+            records.extend(map(CrowdRecord, question_ids, forecaster_ids, times, ps))
+        except ValueError as exc:  # `records` stops just before the bad row
+            raise ValueError(f"{path}:{lines[len(records)]}: {exc}") from exc
+    records.sort(key=operator.itemgetter(2))
     return records

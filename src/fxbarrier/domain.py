@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import math
 import operator
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple
 
 
@@ -65,8 +66,26 @@ def _checked_make(cls, iterable: Iterable):
     return cls(*iterable)
 
 
+def _obeys(values: list[float], valid) -> bool:
+    """Whether every value satisfies `valid`, a domain rule's predicate.
+
+    Each rule accepts an interval, so a column with no NaN obeys it when its
+    smallest and largest values do. The sum is NaN exactly when the column
+    holds a NaN, or both infinities, which no rule accepts.
+    """
+    total = sum(values)
+    return not values or (total == total and valid(min(values)) and valid(max(values)))
+
+
 def _check_points(points, label: str, rule) -> tuple:
+    """`points` as (date, float) pairs, checked by columns, else in order."""
     _, valid, message = rule
+    points = tuple(points)
+    with contextlib.suppress(Exception):  # the loop below raises it again, at its point
+        dates, values = zip(*points, strict=True)
+        values = list(map(float, values))
+        if all(map(operator.lt, dates, dates[1:])) and _obeys(values, valid):
+            return tuple(zip(dates, map(operator.add, values, repeat(0.0))))  # -0.0 is 0.0
     out = []
     prev = None
     for date, value in points:
@@ -157,11 +176,11 @@ class PriceSeries(_Series):
 
     @cached_property
     def dates(self) -> tuple[dt.date, ...]:
-        return tuple(d for d, _ in self.points)
+        return tuple(map(operator.itemgetter(0), self.points))
 
     @property
     def rates(self) -> tuple[float, ...]:
-        return tuple(r for _, r in self.points)
+        return tuple(map(operator.itemgetter(1), self.points))
 
     @cached_property
     def diff_sums(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -329,11 +348,11 @@ class ForecastSeries(_Series):
 
     @property
     def dates(self) -> tuple[dt.date, ...]:
-        return tuple(d for d, _ in self.points)
+        return tuple(map(operator.itemgetter(0), self.points))
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.points)
+        return tuple(map(operator.itemgetter(1), self.points))
 
 
 # Scores are dated values in [0, 1] like forecasts; one type serves both.

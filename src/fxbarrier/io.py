@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .domain import _PROBABILITY, _RATE, ForecastSeries, PriceSeries, QuoteDirection, Source
+from .domain import _obeys
 
 
 def _csv_reader(fh):
@@ -31,7 +32,8 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
     The header is checked first, then the whole file is read at once: a byte
     that is not UTF-8 or a row the csv module cannot parse (such as a field
     over its size limit), and then the first row with a wrong field count, is
-    a ValueError naming its line. All are found before any field is read, so
+    a ValueError naming its line; in a pipe, which cannot be read again, the
+    bad byte is named without one. All are found before any field is read, so
     they win over a bad field on an earlier line. A row's line is its first
     physical line, counted as the csv module counts them from the header's 1,
     blank rows included; only a file whose rows do not all take one line each
@@ -49,13 +51,15 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:  # decoded ahead of the rows: find its line in the bytes
-            raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+            raw = path.read_bytes().removeprefix(codecs.BOM_UTF8) if path.is_file() else b""
             for lineno, line in enumerate(raw.splitlines(), start=1):  # splits as csv counts
                 try:
                     line.decode("utf-8")
                 except UnicodeDecodeError as bad:
                     raise ValueError(f"{path}:{lineno}: {bad}") from exc
-            raise ValueError(f"{path}: {exc}") from exc  # a pipe cannot be read again
+            # a pipe cannot be read again, and exc's position is within a decoded chunk
+            fault = f"can't decode byte {exc.object[exc.start]:#04x}: {exc.reason}"
+            raise ValueError(f"{path}: {exc.encoding!r} codec {fault}") from exc
     width = len(expected_header)
     lines: Sequence[int] = range(2, len(rows) + 2)
     if reader.line_num != len(rows) + 1:  # a quoted field holds a line break
@@ -75,17 +79,6 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[Sequence[int], l
         lines = [lineno for lineno, row in zip(lines, rows) if row]
         rows = list(filter(None, rows))
     return lines, list(zip(*rows)) or [()] * width
-
-
-def _obeys(values: list[float], valid) -> bool:
-    """Whether every value satisfies `valid`, a domain rule's predicate.
-
-    Each rule accepts an interval, so a column with no NaN obeys it when its
-    smallest and largest values do. The sum is NaN exactly when the column
-    holds a NaN, or both infinities, which no rule accepts.
-    """
-    total = sum(values)
-    return not values or (total == total and valid(min(values)) and valid(max(values)))
 
 
 def _date_sorted(path: Path, lines, dates: list, values: list) -> tuple:

@@ -7,6 +7,7 @@ on the calling thread, so report files are byte-identical across reruns.
 
 from __future__ import annotations
 
+import collections
 import datetime as dt
 import functools
 import gc
@@ -323,9 +324,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
             warnings.append(
                 f"consensus file {config.external_consensus_file} contains no series"
             )
-    crowd_by_question: dict[str, list[CrowdRecord]] = {}
-    for record in crowd_records:
-        crowd_by_question.setdefault(record.question_id, []).append(record)
+    crowd_by_question: dict[str, list[CrowdRecord]] = collections.defaultdict(list)
+    for record in crowd_records:  # a list per question, not one per record
+        crowd_by_question[record.question_id].append(record)
     configured = {q.question_id for q in config.questions}
     for name, file, qids in (
         ("crowd", config.crowd_file, set(crowd_by_question)),

@@ -158,6 +158,22 @@ class TestForecast:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: /dev/stdin: 'utf-8' codec can't decode byte 0xff")
 
+    @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+    def test_an_undecodable_piped_file_names_no_position(self):
+        # a position in the decoder's chunk is not one in the line, so none is given
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fxbarrier", "forecast", "--prices", "/dev/stdin",
+                "--open", "2022-01-03", "--close", "2022-02-01", "--threshold-value", "0.05",
+            ],
+            input=b"date,rate\n2022-01-03,1.0\n2022-01-04,1\xff.0\n",
+            capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"error: /dev/stdin: 'utf-8' codec can't decode byte 0xff: invalid start byte\n"
+        )
+
     def test_deterministic_output(self, price_csv):
         args = ("forecast", *question_args(price_csv), "--seed", "5", "--paths", "500")
         assert run_cli(*args).stdout == run_cli(*args).stdout

@@ -6,6 +6,7 @@ import copy
 import datetime as dt
 import math
 import pickle
+import re
 
 import mpmath
 import numpy as np
@@ -25,6 +26,8 @@ from fxbarrier import (
     latest_per_forecaster,
     load_crowd_csv,
 )
+from fxbarrier.crowd import _CROWD_HEADER, _parse_rfc3339, _weighted_median
+from fxbarrier.io import _read_rows
 
 from conftest import write_crowd_csv
 
@@ -555,3 +558,213 @@ class TestLoadCrowdCsv:
         for bad in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="recency_shape"):
                 ConsensusParams(recency_shape=bad)
+
+
+def zip_sort_median(ps, weights, half):
+    """The weighted median as it was first written: the (p, weight) pairs
+    sorted together, summed in that order until the sum reaches `half`."""
+    weighted = sorted(zip(ps, weights))
+    acc = 0.0
+    for p, w in weighted:
+        acc += w
+        if acc >= half:
+            return p
+    return weighted[-1][0]
+
+
+def recency_weights(shape, ranks):
+    newest = math.sqrt(max(ranks))
+    return [math.exp(shape * (math.sqrt(rank) - newest)) for rank in ranks]
+
+
+class TestWeightedMedianHelper:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        ps=st.lists(st.sampled_from([0.0, -0.0, 0.2, 0.5, 0.8, 1.0]), min_size=1, max_size=12),
+        shape=st.sampled_from([0.0, 1.0, 3.0]),
+        data=st.data(),
+    )
+    def test_community_prediction_matches_the_zip_sort(self, ps, shape, data):
+        # ties in p at different ranks; ranks need not be 1..N and may come in any order
+        ranks = data.draw(
+            st.lists(st.integers(1, 40), min_size=len(ps), max_size=len(ps), unique=True)
+        )
+        snap = [SnapshotEntry(f"f{i}", p, rank) for i, (p, rank) in enumerate(zip(ps, ranks))]
+        weights = recency_weights(shape, ranks)
+        want = zip_sort_median(ps, weights, math.fsum(weights) / 2.0)
+        assert community_prediction(snap, ConsensusParams(recency_shape=shape)) == want
+
+    def test_ties_in_p_at_different_ranks(self):
+        # the tied 0.5s hold ranks 1 and 3: their weights are summed in ascending order
+        snap = [SnapshotEntry("a", 0.5, 3), SnapshotEntry("b", 0.9, 2), SnapshotEntry("c", 0.5, 1)]
+        for shape in (0.0, 3.0):
+            weights = recency_weights(shape, [3, 2, 1])
+            want = zip_sort_median([0.5, 0.9, 0.5], weights, math.fsum(weights) / 2.0)
+            assert community_prediction(snap, ConsensusParams(recency_shape=shape)) == want == 0.5
+
+    def test_a_single_forecaster(self):
+        for shape in (0.0, 3.0):
+            params = ConsensusParams(recency_shape=shape)
+            assert community_prediction([SnapshotEntry("a", 0.35, 7)], params) == 0.35
+        assert _weighted_median([0.35], [1.0], 0.5) == 0.35
+
+    def test_rounding_that_keeps_the_sum_below_half_takes_the_largest_p(self):
+        # 1.0 + 2**-53 rounds to 1.0, so the running sum stays below fsum's 1 + 2**-52
+        ps, weights = [0.9, 0.8, 0.1], [2.0**-53, 2.0**-53, 1.0]
+        half = math.fsum(weights)
+        assert sum(weights[::-1]) < half
+        assert _weighted_median(ps, weights, half) == zip_sort_median(ps, weights, half) == 0.9
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ConsensusParams(recency_shape=0.0),
+            ConsensusParams(recency_shape=3.0),
+            ConsensusParams(method="logit_combine", extremize_a=1.5),
+        ],
+        ids=["shape0", "shape3", "logit"],
+    )
+    def test_crowd_series_matches_the_zip_sort_each_day(self, params):
+        rng = np.random.default_rng(31)
+        records = [
+            rec(
+                f"f{int(rng.integers(0, 12)):02d}",
+                ts(int(rng.integers(1, 9)), int(rng.integers(0, 24))),
+                float(rng.integers(0, 11)) / 10,  # many ties in p
+            )
+            for _ in range(120)
+        ]
+        days = [D(2022, 6, d) for d in range(1, 10)]
+        question = make_question(days)
+        want = []
+        for d in days:
+            snap = rescan_latest(records, dt.datetime.combine(d, dt.time.max, tzinfo=UTC))
+            if not snap:
+                continue
+            ps = [e.p for e in snap]
+            if params.method is ConsensusMethod.LOGIT_COMBINE:
+                want.append((d, combine_logit(ps, params.extremize_a)))
+            else:
+                weights = recency_weights(params.recency_shape, range(1, len(ps) + 1))
+                want.append((d, zip_sort_median(ps, weights, math.fsum(weights) / 2.0)))
+        assert list(crowd_series(records, question, days, params).points) == want
+
+
+def load_row_by_row(path):
+    """Crowd records built one row at a time through `CrowdRecord`, in file
+    order, then stably sorted by time; the first fault raises with its line."""
+    lines, columns = _read_rows(path, _CROWD_HEADER)
+    records = []
+    for line, (q, f, t, p) in zip(lines, zip(*columns)):
+        try:
+            records.append(CrowdRecord(q.strip(), f.strip(), _parse_rfc3339(t), float(p)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from exc
+    return sorted(records, key=lambda r: r.at)
+
+
+_CROWD_ROWS = [
+    ["q1", "a", "2022-06-01T12:00:00Z", "0.25"],
+    ["q1", "b", "2022-06-01T12:00:00Z", "0.5"],
+    ["q2", "a", "2022-06-02T08:30:00Z", "0.75"],
+    ["q1", "c", "2022-05-31T23:59:59Z", "1"],
+    ["q2", "b", "2022-06-01T12:00:00Z", "0"],
+]
+# One mutation each: (field index or file-level kind, text)
+_CROWD_MUTATIONS = [
+    *[
+        (2, t)
+        for t in (
+            "2022-06-01T12:00:00z",
+            "2022-06-01T12:00:00+00:00",
+            "2022-06-01T12:00:00-00:00",
+            "2022-06-01T17:30:00+05:30",
+            "2022-06-01T12:00:00",
+            "2022-06-01 12:00:00Z",
+            "2022-06-01",
+            "0001-01-01T00:00:00+05:00",
+            "2022-01-05+05:00",
+            "2022-01-05x12:00",
+            "2022-01-05x12:00Z",
+            "not-a-time",
+        )
+    ],
+    *[(3, p) for p in ("nan", "inf", "-0.0", "1.5", "abc", " 0.5 ")],
+    (0, " q1 "),
+    (1, "\tb  "),
+    (1, '"b\n"'),  # a quoted line break
+    ("bom", ""),
+    ("crlf", ""),
+    ("blank", ""),
+]
+
+
+class TestColumnLoadMatchesRowByRow:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        mutation=st.sampled_from(_CROWD_MUTATIONS),
+        row=st.integers(0, len(_CROWD_ROWS) - 1),
+        order=st.permutations(range(len(_CROWD_ROWS))),
+        stamps=st.sampled_from(["Z", "+00:00"]),
+    )
+    def test_load_crowd_csv(self, tmp_path_factory, mutation, row, order, stamps):
+        rows = [list(_CROWD_ROWS[i]) for i in order]
+        for r in rows:
+            r[2] = r[2].replace("Z", stamps)
+        kind, text = mutation
+        if isinstance(kind, int):
+            rows[row][kind] = text
+        lines = [",".join(_CROWD_HEADER)] + [",".join(r) for r in rows]
+        if kind == "blank":
+            lines.insert(row + 1, "")
+        body = ("\r\n" if kind == "crlf" else "\n").join(lines) + "\n"
+        path = tmp_path_factory.mktemp("crowd") / "crowd.csv"
+        path.write_bytes(("\ufeff" if kind == "bom" else "").encode() + body.encode())
+        try:
+            want = load_row_by_row(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_crowd_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        got = load_crowd_csv(path)
+        assert list(map(repr, got)) == list(map(repr, want))  # -0.0 and tzinfo too
+        assert all(type(r) is CrowdRecord and type(r.p) is float for r in got)
+        assert all(r.at.tzinfo is dt.timezone.utc for r in got)
+
+    @pytest.mark.parametrize("zones", [["+00:00"] * 3, ["Z"] * 3, ["Z", "z", "+00:00"]])
+    def test_utc_times_are_built_from_columns(self, tmp_path, monkeypatch, zones):
+        # fromisoformat takes a Z from Python 3.11 on, and a z on none; the
+        # times it stops at are converted by _parse_rfc3339, still by column
+        rows = [("q", f, f"2022-06-01T12:00:00{z}", 0.5) for f, z in zip("abc", zones)]
+        path = write_crowd_csv(tmp_path / "crowd.csv", rows)
+        want = load_crowd_csv(path)
+
+        def unchecked(*args):
+            raise AssertionError("a record was built row by row")
+
+        monkeypatch.setattr(CrowdRecord, "__new__", staticmethod(unchecked))
+        assert load_crowd_csv(path) == want
+
+
+class TestTimeSeparator:
+    @pytest.mark.parametrize(
+        "stamp", ["2022-01-05+05:00", "2022-01-05x12:00", "2022-01-05+05:00Z", "2022-01-05-12"]
+    )
+    def test_a_stray_separator_is_a_bad_time(self, tmp_path, stamp):
+        # fromisoformat takes any one character there: 2022-01-05+05:00 read as 05:00
+        for before in ("2022-06-01T12:00:00Z", "2022-06-01T12:00:00"):  # column, row path
+            path = write_crowd_csv(
+                tmp_path / "crowd.csv", [("q", "a", before, 0.3), ("q", "b", stamp, 0.4)]
+            )
+            message = f"{path}:3: bad time {stamp!r}: no 'T', 't' or ' ' between its date and time"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_crowd_csv(path)
+
+    @pytest.mark.parametrize(
+        "stamp", ["2022-01-05T12:00Z", "2022-01-05t12:00Z", "2022-01-05 12:00Z", "2022-01-05"]
+    )
+    def test_t_a_space_or_a_bare_date_is_kept(self, tmp_path, stamp):
+        path = write_crowd_csv(tmp_path / "crowd.csv", [("q", "a", stamp, 0.3)])
+        hour = 0 if len(stamp) == 10 else 12
+        assert load_crowd_csv(path) == [rec("a", dt.datetime(2022, 1, 5, hour, tzinfo=UTC), 0.3)]

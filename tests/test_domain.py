@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from fxbarrier import (
     rolling_forecast,
     score_series,
 )
-from fxbarrier.domain import resolve_closed
+from fxbarrier.domain import _PROBABILITY, _RATE, resolve_closed
 
 from conftest import random_walk_series, weekday_dates
 
@@ -398,3 +399,69 @@ class TestValidation:
             series.rate_on(D(2021, 1, 1))
         assert series.first_rate_on_or_after(D(2021, 1, 1)) == 1.0
         assert series.first_rate_on_or_after(D(2030, 1, 1)) is None
+
+
+def check_in_order(points, label, rule):
+    """The series check as first written: one point at a time, in order."""
+    _, valid, message = rule
+    out, prev = [], None
+    for date, value in points:
+        value = float(value)
+        if prev is not None and date <= prev:
+            raise ValueError(f"{label}: dates must be strictly increasing (at {date})")
+        if not valid(value):
+            raise ValueError(f"{label}: " + message.format(value=value, date=date))
+        out.append((date, value + 0.0))
+        prev = date
+    return tuple(out)
+
+
+# One mutation each, at one point: (what, replacement)
+_POINT_MUTATIONS = [
+    *[("value", v) for v in (math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, 2, "0.5", "abc")],
+    ("value", None),
+    ("date", "repeat"),
+    ("date", "swap"),
+    ("date", dt.datetime(2022, 6, 1, 12)),
+    ("point", (D(2022, 6, 1), 0.5, 0.5)),
+    ("none", None),
+]
+
+
+class TestColumnCheckMatchesInOrder:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0]), max_size=6),
+        mutation=st.sampled_from(_POINT_MUTATIONS),
+        at=st.integers(0, 5),
+    )
+    def test_forecast_and_price_series(self, values, mutation, at):
+        points = [[D(2022, 6, 1) + dt.timedelta(days=i), v] for i, v in enumerate(values)]
+        what, new = mutation
+        if points and what != "none":
+            at %= len(points)
+            if what == "value":
+                points[at][1] = new
+            elif what == "point":
+                points[at] = new
+            elif new == "repeat":
+                points[at][0] = points[at - 1][0]
+            elif new == "swap":
+                points[at][0], points[at - 1][0] = points[at - 1][0], points[at][0]
+            else:
+                points[at][0] = new
+        points = [tuple(pt) for pt in points]
+        for build, label, rule in (
+            (lambda: ForecastSeries("q", "crowd", iter(points)), "series q/crowd", _PROBABILITY),
+            (lambda: PriceSeries("P", iter(points)), "P", _RATE),
+        ):
+            try:
+                want = check_in_order(points, label, rule)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as got:
+                    build()
+                assert str(got.value) == str(exc)
+                continue
+            got = build().points
+            assert list(map(repr, got)) == list(map(repr, want))  # -0.0 is written as 0.0
+            assert all(type(v) is float for _, v in got)
